@@ -7,7 +7,8 @@ spectrum comparison, ``sample`` drives the Markov-chain sampler, and
 ``render`` draws states and patterns.  Results are cached per n under
 a root taken from $LOOPMODEL_CACHE (default ~/.cache/loopmodel), each
 file carrying a format version and a checksum; corrupt cache entries
-are recomputed silently.
+are recomputed silently, and a cached eigenvector is used only after it
+passes the same certificate as a fresh one.
 
 Exit status: 0 on success, 1 when a requested check fails, 2 on a
 capacity refusal (the message says which knob raises the ceiling).
@@ -122,9 +123,10 @@ def cmd_groundstate(args) -> int:
     if not args.no_cache:
         payload = cache_load(args.n, "vector")
         if payload is not None and payload.get("kind") == "perron-vector":
-            comps = tuple(int(v) for v in payload["components"])
-            if len(comps) == H.dim:
-                psi = _spec.BigIntVector(args.n, comps)
+            try:
+                psi = _spec.certify_perron(H, payload["components"])
+            except (ConjectureViolation, ValueError):
+                pass
     if psi is None:
         psi = _spec.perron_vector(H)
         if not args.no_cache:

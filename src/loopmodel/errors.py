@@ -12,7 +12,7 @@ class CapacityError(RuntimeError):
 
 
 class ConjectureViolation(RuntimeError):
-    """An exact structural property expected of the operator sum failed.
+    """An exact property expected of the operator sum or the census failed.
 
     Carries a ``details`` dict describing what was checked and what was
     found, so verification drivers can fold the failure into a report

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import patterns as _pat
-from .errors import CapacityError
+from .errors import CapacityError, ConjectureViolation
 from .patterns import LinkPattern
 
 # Refuse full-grid enumeration beyond this n unless overridden: the
@@ -675,14 +675,16 @@ def histogram(n: int, workers: int = 1, max_n: int | None = None) -> PatternHist
     """Count states per boundary link pattern.
 
     The grand total is cross-checked against the product formula on
-    every call; a mismatch would mean a defect in the sweep and raises.
+    every call; a mismatch would mean a defect in the sweep and raises
+    ConjectureViolation with both totals in its details.
     """
     _check_n(n, max_n)
     counts = _census(n, workers)
     expected = asm_count(n)
     got = sum(counts.values())
     if got != expected:
-        raise AssertionError(
-            f"census total {got} != product formula {expected} at n={n}"
+        raise ConjectureViolation(
+            f"census total {got} != product formula {expected} at n={n}",
+            {"n": n, "census_total": got, "product_formula": expected},
         )
     return PatternHistogram(n, counts)

@@ -3,20 +3,23 @@
 For each of the 2n cyclic positions there is an elementary rewiring
 operator (see :func:`loopmodel.patterns.apply_h`).  Summing all 2n of
 them as 0/1 transition matrices over the canonical pattern basis gives
-an integer matrix H with every column summing to 2n, diagonal entries
-counting cyclically adjacent chords, and spectral radius exactly 2n.
+an integer matrix H with every column summing to 2n and diagonal
+entries counting cyclically adjacent chords.
 
-``perron_vector`` extracts the eigenvector at eigenvalue 2n as exact
-integers, normalized positive and coprime.  The production engine is
-modular: eliminate H - 2n*I over two word-size prime fields, combine by
-the Chinese remainder theorem, reconstruct rational coordinates, clear
-denominators, and then certify the candidate unconditionally with
-big-integer arithmetic (H v = 2n v, checked entry by entry).  A rank of
-dim-1 over either prime field, together with the certified kernel
-member, proves the kernel is exactly one-dimensional: modular rank
-never exceeds rational rank.  A slower fraction-free (Bareiss-style)
-elimination over plain big integers is kept alongside as a second,
-independent route for small dimensions; the two must agree.
+``perron_vector`` returns the eigenvector of H at eigenvalue 2n as
+exact integers, positive and coprime, and proves it by the
+Perron–Frobenius theorem instead of by elimination.  H is nonnegative
+and irreducible (its transition graph is strongly connected).  For such
+a matrix the spectral radius is a simple eigenvalue, and it is the only
+eigenvalue with a positive eigenvector: pairing any eigenvector v > 0
+at eigenvalue lam with the positive left Perron vector u gives
+lam u.v = u.Hv = rho u.v, so lam = rho.  Hence a strictly positive
+integer v with H v = 2n v, checked exactly in big integers, shows that
+2n is the simple top eigenvalue, that the kernel of H - 2n*I is the
+line through v, and, once its gcd is 1, that v is the unique coprime
+positive generator of that line.  The candidate v comes from float
+power iteration on H alone, rescaled and rounded; only the exact
+certificate (:func:`certify_perron`) decides.
 
 ``verify_conjecture`` runs the full comparison between this spectral
 route and the grid census of :mod:`loopmodel.fpl` and returns a
@@ -27,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,10 +45,10 @@ from .patterns import apply_h
 # 4862 is the largest basis under the default.
 MAX_DIMENSION = 5000
 
-# Largest primes below 2**31: elimination entries stay within int64
-# even before reduction, and two of them give a CRT modulus wide
-# enough to reconstruct every coordinate ratio exactly.
-_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
+# Step cap of every float power iteration here; exact-arithmetic
+# inputs converge in a few hundred steps, so it only ends runs on
+# matrices whose iterates never settle.
+POWER_MAX_ITER = 100_000
 
 FORMAT_VERSION = 1
 
@@ -88,14 +92,6 @@ class SparseIntMatrix:
                 rows[i][i] -= shift
         return rows
 
-    def to_scipy_csr(self):
-        from scipy.sparse import csr_matrix
-
-        items = sorted(self.entries.items())
-        rows = [r for (r, _), _ in items]
-        cols = [c for (_, c), _ in items]
-        vals = [float(v) for _, v in items]
-        return csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
 
     def to_coo_text(self) -> str:
         """Deterministic row col value triples, one per line."""
@@ -166,192 +162,122 @@ def build_hamiltonian(n: int, max_dim: int | None = None) -> SparseIntMatrix:
     return SparseIntMatrix(n, dim, entries)
 
 
-# -- exact kernel: modular engine ---------------------------------------
+# -- Perron-Frobenius certificate ------------------------------------------
 
 
-def _eliminate_mod(rows: list[list[int]], p: int):
-    """Forward elimination of a square matrix over F_p.
+def strongly_connected(adj: Sequence[Iterable[int]]) -> bool:
+    """Whether the directed graph v -> w for w in adj[v] is strongly connected.
 
-    Returns (rank, pivots, free_cols, reduced) where reduced is the
-    echelon numpy array with unit pivots and pivots is a list of
-    (row, col).
+    A search from vertex 0 must reach every vertex, both along the
+    edges and against them.
     """
-    M = np.array(rows, dtype=np.int64) % p
-    d = M.shape[0]
-    pivots: list[tuple[int, int]] = []
-    free_cols: list[int] = []
-    r = 0
-    for c in range(d):
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            free_cols.append(c)
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            M[[r, pr]] = M[[pr, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r, c:] = (M[r, c:] * inv) % p
-        below = M[r + 1:, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            M[r + 1 + nzb, c:] = (
-                M[r + 1 + nzb, c:] - np.outer(below[nzb], M[r, c:])
-            ) % p
-        pivots.append((r, c))
-        r += 1
-        if r == d:
-            free_cols.extend(range(c + 1, d))
-            break
-    return r, pivots, free_cols, M
+    dim = len(adj)
+
+    def reaches_all(succ) -> bool:
+        seen = [False] * dim
+        seen[0] = True
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for w in succ[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        return all(seen)
+
+    rev: list[list[int]] = [[] for _ in range(dim)]
+    for v, row in enumerate(adj):
+        for w in row:
+            rev[w].append(v)
+    return reaches_all(adj) and reaches_all(rev)
 
 
-def _kernel_vector_mod(reduced, pivots, free_col: int, p: int) -> list[int]:
-    """Back-substitute the kernel vector with x[free_col] = 1 over F_p."""
-    d = reduced.shape[0]
-    x = np.zeros(d, dtype=np.int64)
-    x[free_col] = 1
-    for r, c in reversed(pivots):
-        row = reduced[r, c + 1:]
-        # products stay below p**2 < 2**62 and the p-reduced summands
-        # total below d * p, so int64 never overflows here
-        s = int(((row * x[c + 1:]) % p).sum()) % p
-        x[c] = (-s) % p
-    return [int(v) for v in x]
+def certify_perron(H: SparseIntMatrix, v: Iterable[int]) -> BigIntVector:
+    """Prove that v is the coprime positive eigenvector of H at 2n.
 
-
-def _crt_pair(a1: int, p1: int, a2: int, p2: int) -> int:
-    inv = pow(p1, -1, p2)
-    return (a1 + ((a2 - a1) * inv % p2) * p1) % (p1 * p2)
-
-
-def _rational_reconstruct(a: int, m: int) -> tuple[int, int] | None:
-    """Find num/den with num = a*den (mod m), |num|, den <= sqrt(m/2)."""
-    bound = math.isqrt(m // 2)
-    r0, s0 = m, 0
-    r1, s1 = a % m, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
-        return None
-    num, den = (r1, s1) if s1 > 0 else (-r1, -s1)
-    return num, den
-
-
-def _kernel_candidate_modular(rows: list[list[int]], p1: int, p2: int):
-    """One attempt at the integer kernel vector using a prime pair.
-
-    Returns (vector, certified_rank_is_dim_minus_1) or a string reason
-    on failure of this particular pair.
-    """
-    d = len(rows)
-    rank1, pivots1, free1, red1 = _eliminate_mod(rows, p1)
-    if rank1 == d:
-        raise ConjectureViolation(
-            "matrix minus its expected top eigenvalue is invertible: "
-            "no eigenvector at that eigenvalue exists",
-            {"rank": rank1, "dim": d, "prime": p1},
-        )
-    if rank1 < d - 1:
-        return f"rank {rank1} < dim-1 over p={p1} (unlucky prime or degenerate)"
-    f = free1[0]
-    x1 = _kernel_vector_mod(red1, pivots1, f, p1)
-
-    rank2, pivots2, free2, red2 = _eliminate_mod(rows, p2)
-    if rank2 < d - 1:
-        return f"rank {rank2} < dim-1 over p={p2}"
-    x2 = _kernel_vector_mod(red2, pivots2, free2[0], p2)
-    if x2[f] == 0:
-        return f"kernel coordinate {f} vanishes over p={p2}; cannot align scalings"
-    scale = pow(x2[f], -1, p2)
-    x2 = [(v * scale) % p2 for v in x2]
-
-    m = p1 * p2
-    merged = [_crt_pair(a1, p1, a2, p2) for a1, a2 in zip(x1, x2)]
-    fracs = []
-    for a in merged:
-        rec = _rational_reconstruct(a, m)
-        if rec is None:
-            return "rational reconstruction failed; primes insufficient"
-        fracs.append(Fraction(rec[0], rec[1]))
-    lcm = 1
-    for fr in fracs:
-        lcm = lcm * fr.denominator // math.gcd(lcm, fr.denominator)
-    ints = [int(fr * lcm) for fr in fracs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g == 0:
-        return "kernel candidate is the zero vector"
-    ints = [v // g for v in ints]
-    negatives = sum(1 for v in ints if v < 0)
-    if negatives * 2 > len(ints):
-        ints = [-v for v in ints]
-    return ints, True
-
-
-def perron_vector(H: SparseIntMatrix, engine: str = "modular") -> BigIntVector:
-    """Exact eigenvector of H at eigenvalue 2n, positive and coprime.
-
-    The returned vector v is unconditionally certified: H v = 2n v is
-    re-checked with big-integer arithmetic, the kernel of H - 2n*I is
-    proved one-dimensional, all components are positive, and their gcd
-    is 1.  Failure of any of these raises ConjectureViolation with a
-    details dict (so verification drivers can report rather than die).
-
-    engine="bareiss" uses the fraction-free elimination route instead;
-    it is exact but only sensible for small dimensions.
+    Checks in exact integers, in this order: H v = 2n v, every
+    component positive, gcd 1, and H nonnegative with a strongly
+    connected graph of nonzero entries.  By Perron–Frobenius (see the
+    module docstring) these make 2n the simple top eigenvalue of H and
+    v the one coprime positive vector spanning its eigenspace.  The
+    first failed check raises ConjectureViolation with a details dict.
     """
     two_n = 2 * H.n
-    rows = H.dense_rows(shift=two_n)
-    if engine == "bareiss":
-        ints = _kernel_bareiss(rows)
-        certified = True
-    elif engine == "modular":
-        ints = None
-        certified = False
-        reasons = []
-        pairs = [(_PRIMES[i], _PRIMES[i + 1]) for i in range(0, len(_PRIMES) - 1, 2)]
-        for p1, p2 in pairs:
-            out = _kernel_candidate_modular(rows, p1, p2)
-            if isinstance(out, str):
-                reasons.append(out)
-                continue
-            ints, certified = out
-            break
-        if ints is None:
-            raise ConjectureViolation(
-                "kernel is not one-dimensional over several independent "
-                "prime fields; eigenspace structure is not the expected one",
-                {"dim": H.dim, "attempts": reasons},
-            )
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-
-    # Unconditional certificates, independent of how ints was found.
+    ints = [int(c) for c in v]
     image = H.matvec(ints)
-    bad = [i for i in range(H.dim) if image[i] != two_n * ints[i]]
-    if bad:
+    bad = next((r for r in range(H.dim) if image[r] != two_n * ints[r]), None)
+    if bad is not None:
         raise ConjectureViolation(
-            "candidate vector is not an exact eigenvector at 2n",
-            {"first_bad_rank": bad[0], "engine": engine},
+            f"candidate is no eigenvector at 2n={two_n}: H v != 2n v",
+            {"first_bad_rank": bad, "image": image[bad], "component": ints[bad]},
         )
-    if any(v <= 0 for v in ints):
+    bad = next((r for r, c in enumerate(ints) if c <= 0), None)
+    if bad is not None:
         raise ConjectureViolation(
             "eigenvector at 2n has a nonpositive component",
-            {"first_bad_rank": next(i for i, v in enumerate(ints) if v <= 0)},
+            {"first_bad_rank": bad, "component": ints[bad]},
         )
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    assert g == 1, "normalization failed to reduce to coprime integers"
-    if not certified:
-        raise ConjectureViolation("kernel dimension could not be certified", {})
+    g = math.gcd(*ints)
+    if g != 1:
+        raise ConjectureViolation(
+            "eigenvector at 2n is not coprime", {"gcd": g}
+        )
+    negative = next((rc for rc, a in H.entries.items() if a < 0), None)
+    if negative is not None:
+        raise ConjectureViolation(
+            "matrix has a negative entry; Perron-Frobenius does not apply",
+            {"entry": list(negative), "value": H.entries[negative]},
+        )
+    adj: list[list[int]] = [[] for _ in range(H.dim)]
+    for (r, c), a in H.entries.items():
+        if a:
+            adj[c].append(r)
+    if not strongly_connected(adj):
+        raise ConjectureViolation(
+            "matrix is reducible; the eigenvalue 2n need not be simple",
+            {"dim": H.dim},
+        )
     return BigIntVector(H.n, tuple(ints))
 
 
-# -- exact kernel: fraction-free secondary engine ------------------------
+def _perron_candidate(H: SparseIntMatrix) -> list[int]:
+    """Float guess at the eigenvector at 2n: scaled to minimum 1, rounded.
+
+    The guess can only be right when the coprime vector has smallest
+    component 1, as the census does (some pattern has a single state).
+    Power iteration from the all-ones start, each iterate scaled to
+    maximum 1.  H times an integer vector below 2**53 is exact in
+    float64, so the loop stops at the first rounded guess with
+    H v = 2n v, or once the iterate stops changing and no better guess
+    will come.  Past 2**53 a float no longer holds every integer, so a
+    smaller minimum gives the rounded iterate itself, and the
+    certificate judges that.
+    """
+    apply = _float_operator(H)
+    two_n = 2 * H.n
+    x = np.ones(H.dim)
+    for _ in range(POWER_MAX_ITER):
+        y = apply(x)
+        y /= y.max()
+        lo = y.min()
+        v = np.rint(y / lo) if lo * 2.0 ** 53 > 1 else np.rint(y)
+        if np.array_equal(apply(v), two_n * v) or np.array_equal(y, x):
+            break
+        x = y
+    return [int(c) for c in v]
+
+
+def perron_vector(H: SparseIntMatrix) -> BigIntVector:
+    """Exact eigenvector of H at eigenvalue 2n, positive and coprime.
+
+    The float candidate is certified by :func:`certify_perron`; any
+    failed check raises ConjectureViolation with a details dict, so
+    verification drivers can report rather than die.
+    """
+    return certify_perron(H, _perron_candidate(H))
+
+
+# -- exact reference: fraction-free elimination ------------------------------
 
 
 def _kernel_bareiss(rows: list[list[int]]) -> list[int]:
@@ -360,7 +286,8 @@ def _kernel_bareiss(rows: list[list[int]]) -> list[int]:
     Intermediate entries are exact minors (Bareiss division is exact),
     so nothing is ever rounded.  Raises ConjectureViolation when the
     nullity is not 1.  Quadratic fill makes this a small-dimension
-    tool; the modular engine is the production route.
+    tool; tests use it as an exact reference independent of the
+    Perron–Frobenius certificate.
     """
     M = [list(r) for r in rows]
     d = len(M)
@@ -419,6 +346,14 @@ def _kernel_bareiss(rows: list[list[int]]) -> list[int]:
 # -- floating cross-check -------------------------------------------------
 
 
+def _float_operator(H: SparseIntMatrix):
+    """The map x -> H x in float64, over arrays built once from H.entries."""
+    keys = np.array(list(H.entries), dtype=np.int64).reshape(-1, 2)
+    vals = np.fromiter(H.entries.values(), dtype=np.float64, count=len(H.entries))
+    rows, cols = keys[:, 0], keys[:, 1]
+    return lambda x: np.bincount(rows, weights=vals * x[cols], minlength=H.dim)
+
+
 @dataclass(frozen=True)
 class SpectralCheck:
     """Result of the spectral-radius consistency checks."""
@@ -435,7 +370,7 @@ class SpectralCheck:
 
 
 def power_iteration(H: SparseIntMatrix, tol: float = 1e-9,
-                    max_iter: int = 100_000) -> tuple[float, int, bool]:
+                    max_iter: int = POWER_MAX_ITER) -> tuple[float, int, bool]:
     """Dominant eigenvalue by plain power iteration in floats.
 
     Deterministic all-ones start.  The matrix is not symmetric, so a
@@ -445,12 +380,12 @@ def power_iteration(H: SparseIntMatrix, tol: float = 1e-9,
     the estimate itself comfortably inside tol at geometric convergence
     cost (a handful of extra steps).
     """
-    A = H.to_scipy_csr()
+    apply = _float_operator(H)
     d = H.dim
     x = np.full(d, 1.0 / d)
     lam = 0.0
     for k in range(1, max_iter + 1):
-        y = A @ x
+        y = apply(x)
         lam = float(x @ y) / float(x @ x)
         if float(np.abs(y - lam * x).max()) <= 0.01 * tol * abs(lam):
             return lam, k, True
@@ -568,7 +503,12 @@ def verify_conjecture(n: int, workers: int = 1, max_n: int | None = None,
     t0 = time.perf_counter()
     report = VerificationReport(n)
 
-    hist = _fpl.histogram(n, workers=workers, max_n=max_n)
+    try:
+        hist = _fpl.histogram(n, workers=workers, max_n=max_n)
+    except ConjectureViolation as exc:
+        report.add("census-total", False, f"{exc} {exc.details}")
+        report.elapsed_seconds = time.perf_counter() - t0
+        return report
     total = hist.total()
     expected_total = _fpl.asm_count(n)
     report.add(

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from . import fpl as _fpl
 from . import patterns as _pat
+from . import spectra as _spec
 from .patterns import LinkPattern, apply_h
 
 FORMAT_VERSION = 1
@@ -115,8 +116,6 @@ def stationary_law(n: int, source: str = "histogram",
         total = hist.total()
         probs = {r: Fraction(c, total) for r, c in hist.counts.items()}
     elif source == "perron":
-        from . import spectra as _spec
-
         psi = _spec.perron_vector(_spec.build_hamiltonian(n))
         s = psi.total()
         probs = {r: Fraction(v, s) for r, v in enumerate(psi.components)}
@@ -295,29 +294,8 @@ def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
 
 
 def is_irreducible(n: int) -> bool:
-    """Strong connectivity of the transition graph, by double BFS."""
-    hop = _hop_table(n)
-    dim = len(hop)
-
-    def reaches_all(adj) -> bool:
-        seen = [False] * dim
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return all(seen)
-
-    if not reaches_all(hop):
-        return False
-    rev: list[list[int]] = [[] for _ in range(dim)]
-    for v, row in enumerate(hop):
-        for w in row:
-            rev[w].append(v)
-    return reaches_all(rev)
+    """Strong connectivity of the transition graph over the hop table."""
+    return _spec.strongly_connected(_hop_table(n))
 
 
 def is_aperiodic(n: int) -> bool:

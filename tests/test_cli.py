@@ -1,12 +1,13 @@
 """Command-line behavior: artifacts, caching, determinism, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from loopmodel import cli
+from loopmodel import cli, fpl, spectra
 
 
 @pytest.fixture()
@@ -75,6 +76,23 @@ def test_groundstate_artifact(cache, tmp_path, capsys):
     assert "component sum 42" in text and "component max 7" in text
 
 
+def test_groundstate_recertifies_cached_vector(cache, tmp_path, capsys):
+    assert run(["groundstate", "-n", "4", "--out", str(tmp_path / "a.json")]) == 0
+    good = (tmp_path / "a.json").read_text()
+    cached = cache / "n=4" / "vector.json"
+    obj = json.loads(cached.read_text())
+    comps = obj["payload"]["components"]
+    comps[0] = str(int(comps[0]) + 1)
+    # a consistent checksum: only the certificate can catch the change
+    obj["sha256"] = hashlib.sha256(cli._canonical(obj["payload"]).encode()).hexdigest()
+    cached.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["groundstate", "-n", "4", "--out", str(tmp_path / "b.json")]) == 0
+    assert "component sum 42" in capsys.readouterr().out
+    assert (tmp_path / "b.json").read_text() == good
+    assert cli.cache_load(4, "vector") == json.loads(good)
+
+
 def test_groundstate_matrix_export(cache, tmp_path):
     mx = tmp_path / "m2.txt"
     assert run(["groundstate", "-n", "2", "--format", "text",
@@ -92,6 +110,23 @@ def test_verify_pass_and_report(cache, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert any("census-equals-eigenvector" in l for l in lines)
     assert all(l.startswith("[pass]") for l in lines if l.startswith("["))
+
+
+def test_census_mismatch_is_a_failed_check(cache, monkeypatch, capsys):
+    real = fpl._census
+
+    def bumped(n, workers=1):
+        counts = real(n, workers)
+        counts[0] += 1
+        return counts
+
+    monkeypatch.setattr(fpl, "_census", bumped)
+    rep = spectra.verify_conjecture(4)
+    assert not rep.passed
+    assert [(c.name, c.passed) for c in rep.checks] == [("census-total", False)]
+    assert "product formula 42" in rep.checks[0].details
+    assert run(["verify", "-n", "4"]) == cli.EXIT_FAIL
+    assert "[FAIL] n=4 census-total" in capsys.readouterr().out
 
 
 def test_verify_long_gate(cache, capsys):

@@ -6,6 +6,12 @@ the basis permutation connecting that order to the canonical one.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from loopmodel import fpl, patterns, spectra
@@ -48,6 +54,9 @@ REFERENCE_H_N4 = [
 
 REFERENCE_VECTOR_N4 = [7, 7, 3, 3, 3, 3, 3, 3, 3, 3, 1, 1, 1, 1]
 
+# the same vector in canonical rank order
+CENSUS_N4 = [7, 3, 3, 3, 1, 3, 1, 3, 1, 7, 3, 3, 3, 1]
+
 
 def test_smallest_matrices():
     H1 = spectra.build_hamiltonian(1)
@@ -89,10 +98,11 @@ def test_diagonal_multiset_n4():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_engines_agree(n):
+    # the certified vector matches an independent exact elimination
     H = spectra.build_hamiltonian(n)
-    a = spectra.perron_vector(H, engine="modular")
-    b = spectra.perron_vector(H, engine="bareiss")
-    assert a.components == b.components
+    a = spectra.perron_vector(H)
+    b = spectra._kernel_bareiss(H.dense_rows(shift=2 * n))
+    assert list(a.components) == b
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -104,12 +114,6 @@ def test_eigenvector_equals_census(n):
     assert psi.maximum() == fpl.asm_count(n - 1)
 
 
-def test_perron_unknown_engine():
-    H = spectra.build_hamiltonian(2)
-    with pytest.raises(ValueError):
-        spectra.perron_vector(H, engine="cubic")
-
-
 def test_violation_when_no_kernel():
     # a matrix whose shifted form is invertible: no eigenvector at 2n
     M = spectra.SparseIntMatrix(2, 2, {(0, 0): 1, (1, 1): 1})
@@ -117,7 +121,7 @@ def test_violation_when_no_kernel():
         spectra.perron_vector(M)
     assert "invertible" in str(exc.value) or "no eigenvector" in str(exc.value)
     with pytest.raises(ConjectureViolation):
-        spectra.perron_vector(M, engine="bareiss")
+        spectra._kernel_bareiss(M.dense_rows(shift=4))
 
 
 def test_violation_when_kernel_too_big():
@@ -127,16 +131,91 @@ def test_violation_when_kernel_too_big():
         spectra.perron_vector(M)
     assert exc.value.details  # structured details travel with it
     with pytest.raises(ConjectureViolation):
-        spectra.perron_vector(M, engine="bareiss")
+        spectra._kernel_bareiss(M.dense_rows(shift=4))
 
 
 def test_violation_on_nonpositive_component():
     # eigenvector at the shift exists but has a zero/negative entry:
     # [[4, 0], [0, 2]] at shift 4 has kernel (1, 0)
     M = spectra.SparseIntMatrix(2, 2, {(0, 0): 4, (1, 1): 2})
-    with pytest.raises(ConjectureViolation) as exc:
+    with pytest.raises(ConjectureViolation):
         spectra.perron_vector(M)
+    with pytest.raises(ConjectureViolation) as exc:
+        spectra.certify_perron(M, [1, 0])
     assert "nonpositive" in str(exc.value)
+
+
+@pytest.mark.parametrize("matrix, vector, reason", [
+    (None, CENSUS_N4[:5] + [CENSUS_N4[5] + 1] + CENSUS_N4[6:], "no eigenvector"),
+    (None, [2 * c for c in CENSUS_N4], "not coprime"),
+    # (1, 1) is a positive coprime eigenvector at 4, but 4 is a double
+    # eigenvalue: the two vertices are not connected
+    (spectra.SparseIntMatrix(2, 2, {(0, 0): 4, (1, 1): 4}), [1, 1], "reducible"),
+    # a positive eigenvector at 4 of a matrix outside the theorem
+    (spectra.SparseIntMatrix(2, 2, {(0, 0): 5, (0, 1): -1, (1, 0): -1, (1, 1): 5}),
+     [1, 1], "negative entry"),
+], ids=["census-plus-one", "census-doubled", "reducible", "negative-entry"])
+def test_certificate_rejects(matrix, vector, reason):
+    H = spectra.build_hamiltonian(4) if matrix is None else matrix
+    with pytest.raises(ConjectureViolation) as exc:
+        spectra.certify_perron(H, vector)
+    assert reason in str(exc.value)
+    assert exc.value.details
+
+
+@pytest.mark.parametrize("change", [
+    {(0, 0): 1},
+    {(0, 0): -1},
+    {(0, 0): -1, (3, 0): 1},  # column sums stay 2n
+])
+def test_flipped_entry_is_not_certified_as_census(change):
+    H = spectra.build_hamiltonian(4)
+    entries = dict(H.entries)
+    for key, delta in change.items():
+        entries[key] = entries.get(key, 0) + delta
+    flipped = spectra.SparseIntMatrix(4, H.dim, entries)
+    try:
+        psi = spectra.perron_vector(flipped)
+    except ConjectureViolation:
+        return
+    assert list(psi.components) != CENSUS_N4
+
+
+def test_verdicts_survive_optimized_mode():
+    # python -O strips assert statements; the certificate must not use them
+    script = textwrap.dedent("""
+        from loopmodel import fpl, spectra
+        from loopmodel.errors import ConjectureViolation
+
+        H = spectra.build_hamiltonian(4)
+        entries = dict(H.entries)
+        entries[(0, 0)] += 1
+        try:
+            spectra.perron_vector(spectra.SparseIntMatrix(4, H.dim, entries))
+        except ConjectureViolation:
+            pass
+        else:
+            raise SystemExit("flipped matrix was certified")
+        doubled = [2 * c for c in fpl.histogram(4).as_vector()]
+        try:
+            spectra.certify_perron(H, doubled)
+        except ConjectureViolation:
+            pass
+        else:
+            raise SystemExit("non-coprime vector was certified")
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_strongly_connected():
+    assert spectra.strongly_connected([[1], [2], [0]])
+    assert not spectra.strongly_connected([[1], [2], []])
+    assert not spectra.strongly_connected([[0], [1]])
+    assert spectra.strongly_connected([[]])
 
 
 def test_matrix_ceiling():
@@ -189,17 +268,6 @@ def test_spectral_radius_check(n):
     assert sc.column_sums_ok and sc.converged
     assert sc.relative_error <= 1e-9
     assert sc.passed
-
-
-def test_rational_reconstruction_round_trip():
-    # internal helper sanity: reconstruct small fractions mod a big modulus
-    m = 2147483647 * 2147483629
-    for num, den in [(1, 1), (7, 3), (-5, 11), (429, 2), (0, 1)]:
-        a = (num * pow(den, -1, m)) % m
-        got = spectra._rational_reconstruct(a, m)
-        assert got is not None
-        gn, gd = got
-        assert gn * den == num * gd
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
