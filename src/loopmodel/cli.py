@@ -6,12 +6,12 @@ the exact top eigenvector, ``verify`` runs the full census-versus-
 spectrum comparison, ``sample`` drives the Markov-chain sampler, and
 ``render`` draws states and patterns.  Results are cached per n under
 a root taken from $LOOPMODEL_CACHE (default ~/.cache/loopmodel), each
-file carrying a format version and a checksum; corrupt cache entries
-are recomputed silently, and a cached eigenvector is used only after it
-passes the same certificate as a fresh one.
+file carrying a format version and a checksum and written atomically;
+corrupt cache entries are recomputed silently, and a cached eigenvector
+is used only after it passes the same certificate as a fresh one.
 
 Exit status: 0 on success, 1 when a requested check fails, 2 on a
-capacity refusal (the message says which knob raises the ceiling).
+capacity refusal (the message names the ceiling and how to raise it).
 """
 from __future__ import annotations
 
@@ -53,12 +53,22 @@ def _cache_path(n: int, name: str) -> Path:
 
 
 def cache_store(n: int, name: str, payload: dict) -> Path:
-    """Write a payload with its checksum header; returns the path."""
+    """Write a payload with its checksum header; returns the path.
+
+    Written beside the target and moved in by os.replace, so readers
+    never see a partial file; a failed write leaves no temporary file.
+    """
     body = _canonical(payload)
     obj = {"sha256": hashlib.sha256(body.encode()).hexdigest(), "payload": payload}
+    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
     path = _cache_path(n, name)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
@@ -118,7 +128,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_groundstate(args) -> int:
-    H = _spec.build_hamiltonian(args.n, max_dim=args.max_dim)
+    H = _spec.build_hamiltonian(args.n)
     psi = None
     if not args.no_cache:
         payload = cache_load(args.n, "vector")
@@ -157,7 +167,7 @@ def cmd_verify(args) -> int:
             "to run sizes this large"
         )
     report = _spec.verify_conjecture(
-        args.n, workers=args.workers, max_n=args.max_n, max_dim=args.max_dim
+        args.n, workers=args.workers, max_n=args.max_n
     )
     for line in report.summary_lines():
         print(line)
@@ -248,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("groundstate", help="exact top eigenvector of the operator sum")
     common(p)
     p.add_argument("--format", choices=("csv", "json", "text"), default="json")
-    p.add_argument("--max-dim", type=int, default=None,
-                   help="raise the matrix dimension ceiling")
     p.add_argument("--with-matrix", action="store_true",
                    help="also write the matrix in coordinate text form")
     p.add_argument("--matrix-out", default=None,
@@ -258,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="census versus eigenvector, full report")
     common(p)
-    p.add_argument("--max-dim", type=int, default=None)
     p.add_argument("--long", action="store_true",
                    help="allow long runs (n >= 8)")
     p.set_defaults(func=cmd_verify)

@@ -19,6 +19,10 @@ joins positions i and i+1 (position 2n+1 meaning position 1).  If they
 are already linked the pattern is returned unchanged; otherwise their
 old partners get linked to each other.  Planarity is preserved, which
 the constructor re-checks on every result.
+
+``hop_table(n)`` tabulates every rewiring over the basis once per n; the
+operator-sum matrix, the preimage sums, the game probabilities and the
+Markov chain all read it, behind the one ceiling ``MAX_HOP_TABLE``.
 """
 from __future__ import annotations
 
@@ -33,6 +37,10 @@ from .errors import CapacityError
 # fixed-width index this guards time and memory, not correctness.
 # C(13) = 742900 is the largest value under the default.
 MAX_PATTERNS = 1_000_000
+
+# Ceiling on the Catalan(n) * 2n hop-table entries, checked before the
+# basis is built; n = 10 (335,920 entries) is the largest n under it.
+MAX_HOP_TABLE = 500_000
 
 
 def catalan(n: int) -> int:
@@ -187,16 +195,20 @@ def apply_h(i: int, p: LinkPattern) -> LinkPattern:
     size = 2 * p.n
     if not 1 <= i <= size:
         raise ValueError(f"operator index {i} out of range 1..{size}")
-    a = i - 1
-    b = i % size
-    m = p.match
+    m = _rewire(p.match, i - 1)
+    return p if m is p.match else LinkPattern(p.n, m)
+
+
+def _rewire(m: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """m with 0-based positions a, a+1 (cyclically) joined; m itself if already so."""
+    b = (a + 1) % len(m)
     if m[a] == b:
-        return p
+        return m
     j, k = m[a], m[b]
     new = list(m)
     new[a], new[b] = b, a
     new[j], new[k] = k, j
-    return LinkPattern(p.n, tuple(new))
+    return tuple(new)
 
 
 def rotate(p: LinkPattern) -> LinkPattern:
@@ -288,3 +300,23 @@ def rotation_permutation(n: int) -> tuple[int, ...]:
 def reflection_permutation(n: int) -> tuple[int, ...]:
     """sigma with sigma[r] = rank(reflect(unrank(n, r)))."""
     return tuple(rank(reflect(p)) for p in _basis(n)[0])
+
+
+@lru_cache(maxsize=8)
+def hop_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """hop[r][i-1] = rank(apply_h(i, unrank(n, r))), by rewiring raw match tuples.
+
+    The basis index lookup is each image's validity check: only
+    noncrossing matchings are keys.
+    """
+    entries = catalan(n) * 2 * n
+    if entries > MAX_HOP_TABLE:
+        raise CapacityError(
+            f"hop table for n={n} needs {entries} entries, over MAX_HOP_TABLE "
+            f"= {MAX_HOP_TABLE}; raise loopmodel.patterns.MAX_HOP_TABLE to override"
+        )
+    basis = enumerate_patterns(n)  # before _basis: its span times the build
+    index = _basis(n)[1]
+    return tuple(
+        tuple(index[_rewire(p.match, a)] for a in range(2 * n)) for p in basis
+    )

@@ -38,12 +38,8 @@ import numpy as np
 
 from . import fpl as _fpl
 from . import patterns as _pat
-from .errors import CapacityError, ConjectureViolation
+from .errors import ConjectureViolation
 from .patterns import apply_h
-
-# Dimension ceiling for materializing the operator-sum matrix; C(9) =
-# 4862 is the largest basis under the default.
-MAX_DIMENSION = 5000
 
 # Step cap of every float power iteration here; exact-arithmetic
 # inputs converge in a few hundred steps, so it only ends runs on
@@ -92,7 +88,6 @@ class SparseIntMatrix:
                 rows[i][i] -= shift
         return rows
 
-
     def to_coo_text(self) -> str:
         """Deterministic row col value triples, one per line."""
         lines = [f"# operator-sum matrix  n={self.n}  dim={self.dim}"]
@@ -139,27 +134,20 @@ class BigIntVector:
         }
 
 
-def build_hamiltonian(n: int, max_dim: int | None = None) -> SparseIntMatrix:
+def build_hamiltonian(n: int) -> SparseIntMatrix:
     """Sum the 2n rewiring operators as 0/1 matrices over the basis.
 
     Entry (r, c) counts the operator indices sending pattern c to
-    pattern r; every column sums to 2n by construction.
+    pattern r; every column sums to 2n by construction.  Entries go in
+    column by column, then by operator index (hop-table order).
     """
-    dim = _pat.catalan(n)
-    ceiling = MAX_DIMENSION if max_dim is None else max_dim
-    if dim > ceiling:
-        raise CapacityError(
-            f"basis for n={n} has Catalan(n)={dim} patterns, over the "
-            f"matrix ceiling {ceiling}; pass max_dim to override"
-        )
-    basis = _pat.enumerate_patterns(n)
+    hop = _pat.hop_table(n)
     entries: dict[tuple[int, int], int] = {}
-    for c, p in enumerate(basis):
-        for i in range(1, 2 * n + 1):
-            r = _pat.rank(apply_h(i, p))
+    for c, row in enumerate(hop):
+        for r in row:
             key = (r, c)
             entries[key] = entries.get(key, 0) + 1
-    return SparseIntMatrix(n, dim, entries)
+    return SparseIntMatrix(n, len(hop), entries)
 
 
 # -- Perron-Frobenius certificate ------------------------------------------
@@ -427,14 +415,14 @@ def preimage_sums_all(n: int, hist: _fpl.PatternHistogram) -> list[int]:
     """preimage_sum for every pattern at once, by source-major sweep.
 
     Same double sum as preimage_sum, grouped by image instead of
-    rescanning the basis per target; one apply_h call per (source,
-    index) pair instead of one per (target, source, index) triple.
+    rescanning the basis per target, read off the hop table.
     """
-    acc = [0] * _pat.catalan(n)
-    for q in _pat.enumerate_patterns(n):
-        cq = hist.count(_pat.rank(q))
-        for i in range(1, 2 * n + 1):
-            acc[_pat.rank(apply_h(i, q))] += cq
+    hop = _pat.hop_table(n)
+    acc = [0] * len(hop)
+    for q, row in enumerate(hop):
+        cq = hist.count(q)
+        for r in row:
+            acc[r] += cq
     return acc
 
 
@@ -492,7 +480,6 @@ class VerificationReport:
 
 
 def verify_conjecture(n: int, workers: int = 1, max_n: int | None = None,
-                      max_dim: int | None = None,
                       float_check: bool = True) -> VerificationReport:
     """Compare the grid census against the exact top eigenvector.
 
@@ -503,6 +490,7 @@ def verify_conjecture(n: int, workers: int = 1, max_n: int | None = None,
     t0 = time.perf_counter()
     report = VerificationReport(n)
 
+    _pat.hop_table(n)  # a CapacityError comes before any census work
     try:
         hist = _fpl.histogram(n, workers=workers, max_n=max_n)
     except ConjectureViolation as exc:
@@ -524,7 +512,7 @@ def verify_conjecture(n: int, workers: int = 1, max_n: int | None = None,
         f"{len(missing)} patterns with no state" if missing else "every pattern realized",
     )
 
-    H = build_hamiltonian(n, max_dim=max_dim)
+    H = build_hamiltonian(n)
     try:
         psi = perron_vector(H)
         report.add("perron-extraction", True, "kernel certified one-dimensional")

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import fpl as _fpl
 from . import patterns as _pat
@@ -29,9 +28,6 @@ from .patterns import LinkPattern, apply_h
 FORMAT_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
-
-# Hop tables are cheap per entry; this cap covers n <= 12 with room.
-MAX_HOP_TABLE = 500_000
 
 
 class SplitMix64:
@@ -139,23 +135,15 @@ def player_b_probability(n: int, target: LinkPattern,
     """Probability of landing on the target after one random rewiring.
 
     Sum over source patterns q of (count(q)/total) times the fraction
-    of the 2n operation indices sending q to the target, all exact.
+    of the 2n operation indices sending q to the target, all exact:
+    the target's preimage sum over 2n * total.
     """
     if target.n != n:
         raise ValueError("target pattern size does not match n")
     if hist is None:
         hist = _fpl.histogram(n)
-    total = hist.total()
-    two_n = 2 * n
-    acc = Fraction(0)
-    for q in _pat.enumerate_patterns(n):
-        cq = hist.count(_pat.rank(q))
-        if cq == 0:
-            continue
-        hits = sum(1 for i in range(1, two_n + 1) if apply_h(i, q) == target)
-        if hits:
-            acc += Fraction(cq, total) * Fraction(hits, two_n)
-    return acc
+    pre = _spec.preimage_sums_all(n, hist)[_pat.rank(target)]
+    return Fraction(pre, 2 * n * hist.total())
 
 
 def chain_step(p: LinkPattern, rng: SplitMix64) -> LinkPattern:
@@ -164,26 +152,10 @@ def chain_step(p: LinkPattern, rng: SplitMix64) -> LinkPattern:
     return apply_h(i, p)
 
 
-@lru_cache(maxsize=8)
-def _hop_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """hop[rank][i-1] = rank of operation i applied to pattern rank."""
-    dim = _pat.catalan(n)
-    if dim * 2 * n > MAX_HOP_TABLE:
-        raise _fpl.CapacityError(
-            f"hop table for n={n} needs {dim * 2 * n} entries, over "
-            f"{MAX_HOP_TABLE}"
-        )
-    basis = _pat.enumerate_patterns(n)
-    return tuple(
-        tuple(_pat.rank(apply_h(i, q)) for i in range(1, 2 * n + 1))
-        for q in basis
-    )
-
-
 def _run_chain(n: int, burn_in: int, samples: int, seed: int,
                counts: list[int]) -> None:
     """Accumulate one chain's sample counts in place."""
-    hop = _hop_table(n)
+    hop = _pat.hop_table(n)
     rng = SplitMix64(seed)
     two_n = 2 * n
     state = 0  # rank of the all-adjacent pattern, the lex minimum
@@ -295,9 +267,9 @@ def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
 
 def is_irreducible(n: int) -> bool:
     """Strong connectivity of the transition graph over the hop table."""
-    return _spec.strongly_connected(_hop_table(n))
+    return _spec.strongly_connected(_pat.hop_table(n))
 
 
 def is_aperiodic(n: int) -> bool:
     """Every pattern keeps at least one operation fixing it."""
-    return all(p.adjacent_arcs() >= 1 for p in _pat.enumerate_patterns(n))
+    return all(r in row for r, row in enumerate(_pat.hop_table(n)))

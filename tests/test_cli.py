@@ -129,6 +129,29 @@ def test_census_mismatch_is_a_failed_check(cache, monkeypatch, capsys):
     assert "[FAIL] n=4 census-total" in capsys.readouterr().out
 
 
+def test_verify_refuses_over_hop_table_before_census(cache, monkeypatch, capsys):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census ran before the capacity check")
+
+    monkeypatch.setattr(fpl, "histogram", no_census)
+    argv = ["verify", "-n", "11", "--long", "--max-n", "11", "--no-cache"]
+    assert run(argv) == cli.EXIT_CAPACITY
+    assert "MAX_HOP_TABLE" in capsys.readouterr().err
+
+
+def test_cache_store_is_atomic(cache, monkeypatch):
+    cli.cache_store(3, "vector", {"kind": "a"})
+
+    def broken_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(cli.os, "replace", broken_replace)
+    with pytest.raises(OSError):
+        cli.cache_store(3, "vector", {"kind": "b"})
+    assert cli.cache_load(3, "vector") == {"kind": "a"}
+    assert [p.name for p in (cache / "n=3").iterdir()] == ["vector.json"]
+
+
 def test_verify_long_gate(cache, capsys):
     assert run(["verify", "-n", "8"]) == cli.EXIT_CAPACITY
     assert "--long" in capsys.readouterr().err

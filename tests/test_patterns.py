@@ -67,6 +67,17 @@ def test_capacity_ceiling():
         pat.enumerate_patterns(18)  # C(18) > 1e6 default ceiling
 
 
+def test_hop_table_matches_apply_h():
+    for n in range(1, 8):
+        hop = pat.hop_table(n)
+        assert len(hop) == pat.catalan(n)
+        for r, row in enumerate(hop):
+            q = pat.unrank(n, r)
+            assert row == tuple(
+                pat.rank(apply_h(i, q)) for i in range(1, 2 * n + 1)
+            )
+
+
 def test_apply_h_identity_and_rewiring():
     p = LinkPattern.from_text("2 1 4 3")
     assert apply_h(1, p) is p, "already-linked pair is a fixed point"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from loopmodel import fpl, patterns, spectra
+from loopmodel import fpl, patterns, spectra, stochastic
 from loopmodel.errors import CapacityError, ConjectureViolation
 
 # n=4 reference data in a fixed external basis order
@@ -220,9 +220,29 @@ def test_strongly_connected():
 
 def test_matrix_ceiling():
     with pytest.raises(CapacityError):
-        spectra.build_hamiltonian(10)
+        spectra.build_hamiltonian(11)
+
+
+def test_hop_table_ceiling_guards_every_sweep(monkeypatch):
+    hist = fpl.histogram(4)
+    target = patterns.unrank(4, 0)
+    monkeypatch.setattr(patterns, "MAX_HOP_TABLE", 100)  # 14 * 8 = 112 entries
+    patterns.hop_table.cache_clear()
     with pytest.raises(CapacityError):
-        spectra.build_hamiltonian(4, max_dim=5)
+        spectra.build_hamiltonian(4)
+    with pytest.raises(CapacityError):
+        spectra.preimage_sums_all(4, hist)
+    with pytest.raises(CapacityError):
+        stochastic.player_b_probability(4, target, hist)
+    with pytest.raises(CapacityError):
+        stochastic.sample_stationary(4, samples=10, compare=False)
+
+
+def test_perron_vector_n10():
+    psi = spectra.perron_vector(spectra.build_hamiltonian(10))
+    assert psi.dim == 16796
+    assert psi.total() == fpl.asm_count(10)
+    assert psi.maximum() == fpl.asm_count(9)
 
 
 def test_matvec_and_exports():

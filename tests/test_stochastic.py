@@ -104,7 +104,7 @@ def test_exact_one_step_stationarity(n):
 
 def test_chain_step_follows_hop_table():
     rng1, rng2 = SplitMix64(5), SplitMix64(5)
-    hop = st._hop_table(3)
+    hop = patterns.hop_table(3)
     p = patterns.unrank(3, 2)
     rk = 2
     for _ in range(300):
@@ -122,7 +122,7 @@ def test_chain_step_n1_fixed():
 
 def test_chain_step_n2_exact_split():
     # from the all-adjacent pattern, half the operations stay put
-    hop = st._hop_table(2)
+    hop = patterns.hop_table(2)
     assert sorted(hop[0]) == [0, 0, 1, 1]
     assert sorted(hop[1]) == [0, 0, 1, 1]
 
