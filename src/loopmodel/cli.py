@@ -102,7 +102,7 @@ def _histogram(args) -> _fpl.PatternHistogram:
                 return _fpl.PatternHistogram.from_json_obj(payload)
             except ValueError:
                 pass
-    hist = _fpl.histogram(args.n, workers=args.workers, max_n=args.max_n)
+    hist = _fpl.histogram(args.n, max_n=args.max_n)
     if not args.no_cache:
         cache_store(args.n, "histogram", hist.to_json_obj())
     return hist
@@ -166,9 +166,7 @@ def cmd_verify(args) -> int:
             f"n={args.n} means {_fpl.asm_count(args.n)} states; pass --long "
             "to run sizes this large"
         )
-    report = _spec.verify_conjecture(
-        args.n, workers=args.workers, max_n=args.max_n
-    )
+    report = _spec.verify_conjecture(args.n, max_n=args.max_n)
     for line in report.summary_lines():
         print(line)
     if not args.no_cache:
@@ -179,13 +177,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    compare = not args.no_compare
     rep = _st.sample_stationary(
         args.n,
         burn_in=args.burn_in,
         samples=args.samples,
         seed=args.seed,
-        chains=args.workers,
-        compare=not args.no_compare,
+        chains=args.chains,
+        law=_st.stationary_law(args.n, max_n=args.max_n) if compare else None,
+        compare=compare,
         tolerance=args.tolerance,
     )
     print(
@@ -238,25 +238,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_n=True):
-        if need_n:
-            p.add_argument("-n", type=int, required=True, help="grid size")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers (default 1)")
+    def ignored_workers(p):
+        # The census runs in one process (a split level cannot merge its
+        # sweep states); --workers still parses so existing command lines work.
+        p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
+
+    def common(p):
+        p.add_argument("-n", type=int, required=True, help="grid size")
+        ignored_workers(p)
         p.add_argument("--out", default=None,
                        help="artifact path ('-' for stdout, the default)")
+
+    def no_cache(p):
         p.add_argument("--no-cache", action="store_true",
                        help="skip reading and writing the artifact cache")
+
+    def max_n(p):
         p.add_argument("--max-n", type=int, default=None,
                        help="raise the enumeration size ceiling")
 
     p = sub.add_parser("enumerate", help="census of states per link pattern")
     common(p)
+    no_cache(p)
+    max_n(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("groundstate", help="exact top eigenvector of the operator sum")
     common(p)
+    no_cache(p)
     p.add_argument("--format", choices=("csv", "json", "text"), default="json")
     p.add_argument("--with-matrix", action="store_true",
                    help="also write the matrix in coordinate text form")
@@ -266,12 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="census versus eigenvector, full report")
     common(p)
+    no_cache(p)
+    max_n(p)
     p.add_argument("--long", action="store_true",
                    help="allow long runs (n >= 8)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample", help="Markov-chain sampler for the stationary law")
     common(p)
+    max_n(p)
+    p.add_argument("--chains", type=int, default=1,
+                   help="independently seeded chains sharing the samples (default 1)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (echoed)")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--burn-in", type=int, default=1000)
@@ -283,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="draw a state (ASCII) or pattern (SVG)")
     p.add_argument("-n", type=int, default=None, help="grid size for --index")
-    p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
-    p.add_argument("--no-cache", action="store_true", help=argparse.SUPPRESS)
+    ignored_workers(p)
     p.add_argument("--max-n", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--index", type=int, default=0,
                    help="state index in enumeration order (default 0)")

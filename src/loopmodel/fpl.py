@@ -34,7 +34,7 @@ transition fixes the whole row, including every shape mask.  Selected
 edges are the arrows leaving vertices of even checkerboard parity
 (row+col even), equivalently the arrows entering odd vertices; this is
 the orientation convention under which the numbered-stub boundary rule
-holds, which `_row_moves` asserts for every precomputed row.
+holds, which `_row_moves` checks for every precomputed row.
 
 The census keeps, along the sweep, a frontier linkage: for every live
 vertical edge crossing the sweep line, the far end of its open path
@@ -42,8 +42,12 @@ vertical edge crossing the sweep line, the far end of its open path
 of completed stub-stub arcs.  Sweep states that agree on (v, linkage,
 arcs) have identical futures, so the census merges them with
 multiplicities instead of revisiting each state; totals are exact
-integers either way.  `enumerate_states` streams the individual states
-instead and never merges.
+integers either way.  The merged sweep is one pass over the rows in one
+process.  A level split into slices cannot merge across them: states
+in different slices that later reach the same key are each swept on
+their own, so at n = 9 a level split eight ways ran 4.06 times the
+row advances of the single pass.  `enumerate_states` streams the
+individual states instead and never merges.
 """
 from __future__ import annotations
 
@@ -175,10 +179,11 @@ def _row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | N
 def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]:
     """moves[v] = sorted list of (v2, shapes for odd rows, for even rows).
 
-    Also asserts, for every precomputed row, that the parity convention
+    Also checks, for every precomputed row, that the parity convention
     places boundary edges exactly on the numbered stubs: top stubs on
     odd columns, and the left/right edge selection matching the row
-    parity rule used by the census.
+    parity rule used by the census.  A row that breaks it raises
+    ConjectureViolation, also under python -O.
     """
     moves: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [
         [] for _ in range(1 << n)
@@ -189,17 +194,25 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
             if odd is None:
                 continue
             even = _row_shapes(n, v, v2, 0)
-            assert even is not None, "validity must not depend on row parity"
+            if even is None:
+                raise ConjectureViolation(
+                    "row validity depends on row parity", {"n": n, "v": v, "v2": v2}
+                )
             for parity, shapes in ((1, odd), (0, even)):
                 # left edge selected iff the row is even; right edge
                 # selected iff n+row is odd; up edges follow v's bits
                 # on the checkerboard.
-                assert bool(shapes[0] & L) == (parity == 0)
-                assert bool(shapes[-1] & R) == ((n + parity) % 2 == 1)
+                ok = (bool(shapes[0] & L) == (parity == 0)
+                      and bool(shapes[-1] & R) == ((n + parity) % 2 == 1))
                 for j in range(n):
                     p = (parity + j + 1) & 1
-                    assert bool(shapes[j] & U) == (((v >> j) & 1) == p)
-                    assert bool(shapes[j] & B) == (((v2 >> j) & 1) != p)
+                    ok = (ok and bool(shapes[j] & U) == (((v >> j) & 1) == p)
+                          and bool(shapes[j] & B) == (((v2 >> j) & 1) != p))
+                if not ok:
+                    raise ConjectureViolation(
+                        "row shapes break the numbered-stub parity convention",
+                        {"n": n, "v": v, "v2": v2, "parity": parity},
+                    )
             moves[v].append((v2, odd, even))
         moves[v].sort()
     return moves
@@ -223,7 +236,9 @@ def _apply_row(F: list, shapes: tuple[int, ...], pend, right_stub: int | None,
     along the row (the left stub's token, or None).  A slot whose path
     end is currently pend may hold a stale token; it is never read in
     that window (the join that could read it is exactly the closed-loop
-    case, detected through pend itself).
+    case, detected through pend itself).  A path end leaving the row
+    must land on a numbered right stub and a numbered right stub must
+    catch one; otherwise ConjectureViolation is raised.
     """
     PEND = len(F)  # placeholder far-token for a partner still in flight
     for j, mask in enumerate(shapes):
@@ -257,15 +272,22 @@ def _apply_row(F: list, shapes: tuple[int, ...], pend, right_stub: int | None,
             F[j] = PEND
             pend = j
     if pend is not None:
-        assert right_stub is not None
+        if right_stub is None:
+            raise ConjectureViolation(
+                "a path end leaves the row at an unnumbered right stub",
+                {"shapes": shapes},
+            )
         if pend >= 0:
             F[pend] = -right_stub
         else:
             new_arcs.append(
                 (-pend, right_stub) if -pend < right_stub else (right_stub, -pend)
             )
-    else:
-        assert right_stub is None  # a right stub always catches a path end
+    elif right_stub is not None:
+        raise ConjectureViolation(
+            f"numbered right stub {right_stub} catches no path end",
+            {"shapes": shapes},
+        )
 
 
 def _bottom_arcs(n: int, F) -> list[tuple[int, int]]:
@@ -535,10 +557,10 @@ def enumerate_states(n: int, max_n: int | None = None):
     yield from descend(0, 1)
 
 
-def _census_sweep(n: int, level: dict, start_row: int) -> dict[int, int]:
-    """Run the merged sweep from start_row to completion.
+def _census(n: int) -> dict[int, int]:
+    """Run the merged sweep from row 1 to completion.
 
-    level maps (v, frontier tuple, sorted arcs tuple) -> multiplicity.
+    A level maps (v, frontier tuple, sorted arcs tuple) -> multiplicity.
     Returns a dict rank -> count over final link patterns.
     """
     moves = _row_moves(n)
@@ -546,7 +568,8 @@ def _census_sweep(n: int, level: dict, start_row: int) -> dict[int, int]:
     _, rank_of = _pat._basis(n)
     size = 2 * n
     counts: dict[int, int] = {}
-    for r in range(start_row, n + 1):
+    level: dict = {(0, _initial_frontier(n), ()): 1}
+    for r in range(1, n + 1):
         parity = r & 1
         left, right = _row_tokens(n, r)
         last = r == n
@@ -579,51 +602,6 @@ def _census_sweep(n: int, level: dict, start_row: int) -> dict[int, int]:
                         nxt[key] = mult
         if not last:
             level = nxt
-    return counts
-
-
-def _census_chunk(args) -> dict[int, int]:
-    n, start_row, items = args
-    return _census_sweep(n, dict(items), start_row)
-
-
-def _census(n: int, workers: int = 1) -> dict[int, int]:
-    start = {(0, _initial_frontier(n), ()): 1}
-    if workers <= 1 or n < 3:
-        return _census_sweep(n, start, 1)
-
-    # Pre-expand a few rows, then split the level deterministically and
-    # sweep each slice in its own process; integer sums commute, so the
-    # merged result cannot depend on scheduling.
-    moves = _row_moves(n)
-    level = start
-    row = 1
-    while row < n and len(level) < 8 * workers:
-        parity = row & 1
-        left, right = _row_tokens(n, row)
-        nxt: dict = {}
-        for (v, Ft, arcs), mult in level.items():
-            for v2, odd, even in moves[v]:
-                F = list(Ft)
-                new: list[tuple[int, int]] = []
-                _apply_row(F, odd if parity else even, left, right, new)
-                key = (v2, tuple(F), tuple(sorted(arcs + tuple(new))) if new else arcs)
-                nxt[key] = nxt.get(key, 0) + mult
-        level = nxt
-        row += 1
-    items = sorted(level.items())
-    chunk = -(-len(items) // (4 * workers))
-    tasks = [
-        (n, row, items[i: i + chunk]) for i in range(0, len(items), chunk)
-    ]
-
-    import multiprocessing as mp
-
-    counts: dict[int, int] = {}
-    with mp.get_context("fork").Pool(workers) as pool:
-        for part in pool.imap_unordered(_census_chunk, tasks):
-            for rk, cnt in part.items():
-                counts[rk] = counts.get(rk, 0) + cnt
     return counts
 
 
@@ -671,7 +649,7 @@ class PatternHistogram:
         return h
 
 
-def histogram(n: int, workers: int = 1, max_n: int | None = None) -> PatternHistogram:
+def histogram(n: int, max_n: int | None = None) -> PatternHistogram:
     """Count states per boundary link pattern.
 
     The grand total is cross-checked against the product formula on
@@ -679,7 +657,7 @@ def histogram(n: int, workers: int = 1, max_n: int | None = None) -> PatternHist
     ConjectureViolation with both totals in its details.
     """
     _check_n(n, max_n)
-    counts = _census(n, workers)
+    counts = _census(n)
     expected = asm_count(n)
     got = sum(counts.values())
     if got != expected:

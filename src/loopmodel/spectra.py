@@ -479,8 +479,7 @@ class VerificationReport:
         return out
 
 
-def verify_conjecture(n: int, workers: int = 1, max_n: int | None = None,
-                      float_check: bool = True) -> VerificationReport:
+def verify_conjecture(n: int, max_n: int | None = None) -> VerificationReport:
     """Compare the grid census against the exact top eigenvector.
 
     Runs every structural check at exact integer or rational precision
@@ -492,7 +491,7 @@ def verify_conjecture(n: int, workers: int = 1, max_n: int | None = None,
 
     _pat.hop_table(n)  # a CapacityError comes before any census work
     try:
-        hist = _fpl.histogram(n, workers=workers, max_n=max_n)
+        hist = _fpl.histogram(n, max_n=max_n)
     except ConjectureViolation as exc:
         report.add("census-total", False, f"{exc} {exc.details}")
         report.elapsed_seconds = time.perf_counter() - t0
@@ -584,14 +583,13 @@ def verify_conjecture(n: int, workers: int = 1, max_n: int | None = None,
         "matrix commutes with the dihedral permutation action",
     )
 
-    if float_check:
-        sc = spectral_radius_check(H)
-        report.add(
-            "spectral-radius",
-            sc.passed,
-            f"column sums {'= 2n' if sc.column_sums_ok else 'BROKEN'}, "
-            f"power iteration {sc.eigenvalue:.12g} in {sc.iterations} steps",
-        )
+    sc = spectral_radius_check(H)
+    report.add(
+        "spectral-radius",
+        sc.passed,
+        f"column sums {'= 2n' if sc.column_sums_ok else 'BROKEN'}, "
+        f"power iteration {sc.eigenvalue:.12g} in {sc.iterations} steps",
+    )
 
     report.elapsed_seconds = time.perf_counter() - t0
     return report

@@ -101,14 +101,14 @@ class PatternDistribution:
 
 
 def stationary_law(n: int, source: str = "histogram",
-                   workers: int = 1, max_n: int | None = None) -> PatternDistribution:
+                   max_n: int | None = None) -> PatternDistribution:
     """The conjectured stationary law count(pattern)/total, exactly.
 
     source="histogram" reads the grid census; source="perron" reads
     the exact top eigenvector instead, for an independent route.
     """
     if source == "histogram":
-        hist = _fpl.histogram(n, workers=workers, max_n=max_n)
+        hist = _fpl.histogram(n, max_n=max_n)
         total = hist.total()
         probs = {r: Fraction(c, total) for r, c in hist.counts.items()}
     elif source == "perron":

@@ -81,7 +81,7 @@ def test_criterion_3_census_equals_eigenvector_n7():
 @pytest.mark.long
 def test_criterion_3_census_equals_eigenvector_n8_long():
     t0 = time.perf_counter()
-    vec = fpl.histogram(8, workers=4).as_vector()
+    vec = fpl.histogram(8).as_vector()
     psi = spectra.perron_vector(spectra.build_hamiltonian(8))
     elapsed = time.perf_counter() - t0
     ok = list(psi.components) == vec and elapsed < 1800.0

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from loopmodel import cli, fpl, spectra
+from loopmodel import cli, fpl, spectra, stochastic
 
 
 @pytest.fixture()
@@ -46,6 +47,17 @@ def test_parallel_output_byte_identical(cache, tmp_path):
     assert run(["enumerate", "-n", "5", "--workers", "4", "--no-cache",
                 "--format", "json", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_workers_option_starts_no_process(cache, tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("the census started a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = tmp_path / "h6.csv"
+    assert run(["enumerate", "-n", "6", "--workers", "4", "--no-cache",
+                "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 132
 
 
 def test_cache_reuse_and_corruption_recovery(cache, tmp_path, capsys):
@@ -115,8 +127,8 @@ def test_verify_pass_and_report(cache, tmp_path, capsys):
 def test_census_mismatch_is_a_failed_check(cache, monkeypatch, capsys):
     real = fpl._census
 
-    def bumped(n, workers=1):
-        counts = real(n, workers)
+    def bumped(n):
+        counts = real(n)
         counts[0] += 1
         return counts
 
@@ -180,6 +192,29 @@ def test_sample_determinism(cache, tmp_path):
         assert run(["sample", "-n", "4", "--seed", "123", "--samples", "5000",
                     "--burn-in", "50", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sample_honours_max_n(cache, monkeypatch, capsys):
+    monkeypatch.setattr(fpl, "DEFAULT_MAX_N", 3)
+    assert run(["sample", "-n", "4", "--max-n", "4", "--samples", "1000",
+                "--out", "-"]) == 0
+    assert run(["sample", "-n", "4", "--samples", "1000"]) == cli.EXIT_CAPACITY
+
+
+def test_sample_chains_and_ignored_workers(cache, tmp_path):
+    args = ["sample", "-n", "4", "--seed", "7", "--samples", "3000",
+            "--burn-in", "20", "--no-compare", "--out"]
+    paths = {k: tmp_path / f"{k}.json" for k in ("chains3", "w1", "w3")}
+    assert run(args + [str(paths["chains3"]), "--chains", "3"]) == 0
+    assert run(args + [str(paths["w1"]), "--workers", "1"]) == 0
+    assert run(args + [str(paths["w3"]), "--workers", "3"]) == 0
+    rep = stochastic.sample_stationary(4, burn_in=20, samples=3000, seed=7,
+                                       chains=3, compare=False)
+    obj = json.loads(paths["chains3"].read_text())
+    assert obj["chains"] == 3
+    assert obj["empirical"] == {str(r): c for r, c in enumerate(rep.counts) if c}
+    assert paths["w3"].read_bytes() == paths["w1"].read_bytes()
+    assert json.loads(paths["w1"].read_text())["chains"] == 1
 
 
 def test_render_state_ascii(cache, capsys):

@@ -9,7 +9,12 @@ routes.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -161,11 +166,35 @@ def test_wieland_invariance(n):
         assert hist.count(refl[r]) == hist.count(r)
 
 
-def test_worker_count_does_not_change_histogram():
-    for n in (3, 4, 5):
-        base = fpl.histogram(n, workers=1)
-        for w in (2, 4):
-            assert fpl.histogram(n, workers=w).counts == base.counts
+def test_sweep_invariants_survive_optimized_mode():
+    # python -O strips assert statements; the sweep's checks must not use them
+    script = textwrap.dedent("""
+        from loopmodel import fpl
+        from loopmodel.errors import ConjectureViolation
+
+        def expect_violation(what):
+            try:
+                fpl.histogram(3)
+            except ConjectureViolation:
+                pass
+            else:
+                raise SystemExit(what + " went unnoticed")
+
+        real_tokens = fpl._row_tokens
+        fpl._row_tokens = lambda n, r: (real_tokens(n, r)[0], None)
+        expect_violation("a dropped right stub")
+        fpl._row_tokens = real_tokens
+
+        real_shapes = fpl._row_shapes
+        fpl._row_shapes = lambda n, v, v2, parity: real_shapes(n, v, v2, 1 - parity)
+        fpl._row_moves.cache_clear()
+        expect_violation("a swapped parity convention")
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_capacity_refusal():
