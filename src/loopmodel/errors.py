@@ -16,9 +16,12 @@ class ConjectureViolation(RuntimeError):
 
     Carries a ``details`` dict describing what was checked and what was
     found, so verification drivers can fold the failure into a report
-    instead of crashing.
+    instead of crashing; ``check``, when given, names the report check
+    the failure belongs to.
     """
 
-    def __init__(self, message: str, details: dict | None = None):
+    def __init__(self, message: str, details: dict | None = None,
+                 check: str | None = None):
         super().__init__(message)
         self.details = details or {}
+        self.check = check

@@ -39,15 +39,22 @@ holds, which `_row_moves` checks for every precomputed row.
 The census keeps, along the sweep, a frontier linkage: for every live
 vertical edge crossing the sweep line, the far end of its open path
 (another live column or an already-reached numbered stub), plus the set
-of completed stub-stub arcs.  Sweep states that agree on (v, linkage,
-arcs) have identical futures, so the census merges them with
-multiplicities instead of revisiting each state; totals are exact
-integers either way.  The merged sweep is one pass over the rows in one
-process.  A level split into slices cannot merge across them: states
-in different slices that later reach the same key are each swept on
-their own, so at n = 9 a level split eight ways ran 4.06 times the
-row advances of the single pass.  `enumerate_states` streams the
-individual states instead and never merges.
+of completed stub-stub arcs.  The future of a sweep state depends only
+on (v, linkage); the arcs only ride along.  A level therefore maps
+(v, linkage) to a bucket {arcs: multiplicity}, each (v, linkage) is
+advanced through each row move once, and the arcs that row completes
+are added to every entry of its bucket.  An arcs set is packed into one
+integer: the smaller stub a of each arc holds its partner b in an
+ARC_BITS-wide field at bit ARC_BITS * (a - 1).  A disjoint union is then
+integer addition, and equal sets pack to equal integers without
+sorting.  The last row merges all buckets into one {final arcs:
+multiplicity} dict; each distinct final value is decoded once, checked
+to be a perfect noncrossing matching, and ranked.  Totals are exact
+integers throughout.  The sweep is one pass in one process: a level
+split into slices cannot merge across them, and at n = 9 eight slices
+ran 4.06 times the row advances of the single pass.
+`enumerate_states` streams the individual states instead and never
+merges.
 """
 from __future__ import annotations
 
@@ -59,9 +66,10 @@ from . import patterns as _pat
 from .errors import CapacityError, ConjectureViolation
 from .patterns import LinkPattern
 
-# Refuse full-grid enumeration beyond this n unless overridden.  The
-# frontier sweep takes about 5 s at n = 9 (A_9 about 9.1e8 states) and
-# 35 s with 180 MB at n = 10 (A_10 about 1.3e11) on a 2-vCPU Xeon VM.
+# Refuse full-grid enumeration beyond this n unless overridden.  On a
+# 2-vCPU Xeon VM the bucketed sweep takes about 1.3 s at n = 9 (A_9
+# about 9.1e8 states); `enumerate -n 10` takes 12 s with 94 MB (A_10
+# about 1.3e11) and `enumerate -n 11` 62-73 s with 317 MB.
 DEFAULT_MAX_N = 9
 
 # Shape-mask bits (selected edge directions at an internal vertex).
@@ -69,6 +77,11 @@ U, L, B, R = 1, 2, 4, 8
 _SHAPES = frozenset({U | L, U | B, U | R, L | B, L | R, B | R})
 
 FORMAT_VERSION = 1
+
+# Width of one packed arc field: the census stores each arc's larger
+# stub in the field of its smaller one, so stub numbers must stay below
+# 2**ARC_BITS, that is n <= 15.
+ARC_BITS = 5
 
 
 def asm_count(n: int) -> int:
@@ -83,7 +96,6 @@ def asm_count(n: int) -> int:
         raise ValueError(f"asm_count undefined for n={n}")
     num = math.prod(math.factorial(3 * k + 1) for k in range(n))
     den = math.prod(math.factorial(n + k) for k in range(n))
-    assert num % den == 0
     return num // den
 
 
@@ -136,7 +148,6 @@ def stub_positions(n: int) -> dict[int, tuple[str, int]]:
             out[s] = ("R", r)
         if (s := _left_stub(n, r)) is not None:
             out[s] = ("L", r)
-    assert sorted(out) == list(range(1, 2 * n + 1))
     return out
 
 
@@ -167,7 +178,6 @@ def _row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | N
             | (4 if b != p else 0)
             | (8 if rgt != p else 0)
         )
-        assert mask in _SHAPES
         shapes.append(mask)
         l = rgt
     if l != 0:
@@ -179,24 +189,30 @@ def _row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | N
 def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]:
     """moves[v] = sorted list of (v2, shapes for odd rows, for even rows).
 
-    Also checks, for every precomputed row, that the parity convention
-    places boundary edges exactly on the numbered stubs: top stubs on
-    odd columns, and the left/right edge selection matching the row
-    parity rule used by the census.  A row that breaks it raises
-    ConjectureViolation, also under python -O.
+    The valid v2 are generated from the alternating-flip rule: the
+    horizontal arrow enters at 1, a column may flip only when its bit
+    above differs from the arrow entering it (the arrow then takes that
+    bit), and the arrow must leave the row at 0.  Every generated row is
+    then checked: _row_shapes must accept it at both parities, and the
+    parity convention must place boundary edges exactly on the numbered
+    stubs: top stubs on odd columns, and the left/right edge selection
+    matching the row parity rule used by the census.  A row that breaks
+    either raises ConjectureViolation, also under python -O.
     """
-    moves: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [
-        [] for _ in range(1 << n)
-    ]
+    moves: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = []
     for v in range(1 << n):
-        for v2 in range(1 << n):
+        partial = [(v, 1)]  # (v2 so far, arrow entering the next column)
+        for j in range(n):
+            a = (v >> j) & 1
+            partial += [(w ^ (1 << j), a) for w, l in partial if l != a]
+        row = []
+        for v2 in sorted(w for w, l in partial if l == 0):
             odd = _row_shapes(n, v, v2, 1)
-            if odd is None:
-                continue
             even = _row_shapes(n, v, v2, 0)
-            if even is None:
+            if odd is None or even is None:
                 raise ConjectureViolation(
-                    "row validity depends on row parity", {"n": n, "v": v, "v2": v2}
+                    "a generated row is invalid at some row parity",
+                    {"n": n, "v": v, "v2": v2}, check="census-sweep",
                 )
             for parity, shapes in ((1, odd), (0, even)):
                 # left edge selected iff the row is even; right edge
@@ -212,9 +228,10 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
                     raise ConjectureViolation(
                         "row shapes break the numbered-stub parity convention",
                         {"n": n, "v": v, "v2": v2, "parity": parity},
+                        check="census-sweep",
                     )
-            moves[v].append((v2, odd, even))
-        moves[v].sort()
+            row.append((v2, odd, even))
+        moves.append(row)
     return moves
 
 
@@ -275,7 +292,7 @@ def _apply_row(F: list, shapes: tuple[int, ...], pend, right_stub: int | None,
         if right_stub is None:
             raise ConjectureViolation(
                 "a path end leaves the row at an unnumbered right stub",
-                {"shapes": shapes},
+                {"shapes": shapes}, check="census-sweep",
             )
         if pend >= 0:
             F[pend] = -right_stub
@@ -286,7 +303,7 @@ def _apply_row(F: list, shapes: tuple[int, ...], pend, right_stub: int | None,
     elif right_stub is not None:
         raise ConjectureViolation(
             f"numbered right stub {right_stub} catches no path end",
-            {"shapes": shapes},
+            {"shapes": shapes}, check="census-sweep",
         )
 
 
@@ -467,7 +484,6 @@ def asm_to_state(asm: AsmMatrix) -> FplState:
         for c in range(1, n + 1):
             a, b = vabove[c - 1], vbelow[c - 1]
             rgt = l - asm.rows[r - 1][c - 1]
-            assert rgt in (0, 1)
             p = (r + c) & 1
             mask = (
                 (1 if a == p else 0)
@@ -557,51 +573,110 @@ def enumerate_states(n: int, max_n: int | None = None):
     yield from descend(0, 1)
 
 
-def _census(n: int) -> dict[int, int]:
-    """Run the merged sweep from row 1 to completion.
+def _pack(arcs) -> int:
+    """Packed value of (a, b) stub arcs with a < b: b in the field of a."""
+    packed = 0
+    for a, b in arcs:
+        packed += b << (ARC_BITS * (a - 1))
+    return packed
 
-    A level maps (v, frontier tuple, sorted arcs tuple) -> multiplicity.
-    Returns a dict rank -> count over final link patterns.
+
+def _pattern_rank(n: int, packed: int, rank_of: dict) -> int:
+    """Rank of the matching a final packed arcs value encodes.
+
+    Every stub 1..2n must sit in exactly one arc and the matching must
+    be noncrossing (only those are in rank_of); anything else is a
+    linkage fault of the sweep and raises ConjectureViolation.
     """
-    moves = _row_moves(n)
-    full = (1 << n) - 1
-    _, rank_of = _pat._basis(n)
     size = 2 * n
-    counts: dict[int, int] = {}
-    level: dict = {(0, _initial_frontier(n), ()): 1}
-    for r in range(1, n + 1):
+    field = (1 << ARC_BITS) - 1
+    m = [-1] * size
+    for a in range(size):
+        b = ((packed >> (ARC_BITS * a)) & field) - 1
+        if b < 0:
+            continue
+        if not a < b < size or m[a] >= 0 or m[b] >= 0:
+            raise ConjectureViolation(
+                f"stub {a + 1} is paired with {b + 1} in an overlapping "
+                "or out-of-range arc",
+                {"n": n, "packed_arcs": packed}, check="census-sweep",
+            )
+        m[a], m[b] = b, a
+    if packed >> (ARC_BITS * size) or -1 in m:
+        raise ConjectureViolation(
+            "the final arcs do not cover every stub exactly once",
+            {"n": n, "packed_arcs": packed}, check="census-sweep",
+        )
+    rank = rank_of.get(tuple(m))
+    if rank is None:
+        raise ConjectureViolation(
+            "the final arcs form a crossing matching",
+            {"n": n, "match": m}, check="census-sweep",
+        )
+    return rank
+
+
+def _census(n: int) -> dict[int, int]:
+    """Run the bucketed sweep from row 1 to completion.
+
+    A level maps (v, frontier tuple) -> bucket {packed arcs:
+    multiplicity}.  Each (v, frontier, move) is advanced once and its
+    new arcs are added to every entry of the bucket.  The last row
+    merges all buckets into one {final arcs: multiplicity} dict, and
+    each distinct final value is decoded once.  Returns a dict rank ->
+    count over final link patterns.
+    """
+    if 2 * n >= 1 << ARC_BITS:
+        raise CapacityError(
+            f"n={n} has stub numbers beyond the {ARC_BITS}-bit packed arc "
+            f"field; the census handles n <= {((1 << ARC_BITS) - 1) // 2}"
+        )
+    moves = _row_moves(n)
+    level: dict = {(0, _initial_frontier(n)): {0: 1}}
+    for r in range(1, n):
         parity = r & 1
         left, right = _row_tokens(n, r)
-        last = r == n
         nxt: dict = {}
-        for (v, Ft, arcs), mult in level.items():
+        for (v, Ft), bucket in level.items():
             for v2, odd, even in moves[v]:
-                if last and v2 != full:
-                    continue
                 F = list(Ft)
                 new: list[tuple[int, int]] = []
                 _apply_row(F, odd if parity else even, left, right, new)
-                if last:
-                    new.extend(_bottom_arcs(n, F))
-                    m = [0] * size
-                    for a, b in arcs:
-                        m[a - 1] = b - 1
-                        m[b - 1] = a - 1
-                    for a, b in new:
-                        m[a - 1] = b - 1
-                        m[b - 1] = a - 1
-                    # rank lookup doubles as a validity check: only
-                    # genuine noncrossing matchings are in the table
-                    rk = rank_of[tuple(m)]
-                    counts[rk] = counts.get(rk, 0) + mult
+                add = _pack(new) if new else 0
+                key = (v2, tuple(F))
+                target = nxt.get(key)
+                if target is None:
+                    nxt[key] = ({p + add: m for p, m in bucket.items()}
+                                if add else bucket.copy())
                 else:
-                    key = (v2, tuple(F), tuple(sorted(arcs + tuple(new))) if new else arcs)
-                    if key in nxt:
-                        nxt[key] += mult
-                    else:
-                        nxt[key] = mult
-        if not last:
-            level = nxt
+                    get = target.get
+                    for p, m in bucket.items():
+                        p += add
+                        target[p] = get(p, 0) + m
+        level = nxt
+
+    full = (1 << n) - 1
+    left, right = _row_tokens(n, n)
+    final: dict[int, int] = {}
+    get = final.get
+    for (v, Ft), bucket in level.items():
+        for v2, odd, even in moves[v]:
+            if v2 != full:
+                continue
+            F = list(Ft)
+            new = []
+            _apply_row(F, odd if n & 1 else even, left, right, new)
+            new.extend(_bottom_arcs(n, F))
+            add = _pack(new)
+            for p, m in bucket.items():
+                p += add
+                final[p] = get(p, 0) + m
+
+    _, rank_of = _pat._basis(n)
+    counts: dict[int, int] = {}
+    for packed, mult in final.items():
+        rank = _pattern_rank(n, packed, rank_of)
+        counts[rank] = counts.get(rank, 0) + mult
     return counts
 
 
@@ -664,5 +739,6 @@ def histogram(n: int, max_n: int | None = None) -> PatternHistogram:
         raise ConjectureViolation(
             f"census total {got} != product formula {expected} at n={n}",
             {"n": n, "census_total": got, "product_formula": expected},
+            check="census-total",
         )
     return PatternHistogram(n, counts)

@@ -492,8 +492,8 @@ def verify_conjecture(n: int, max_n: int | None = None) -> VerificationReport:
     _pat.hop_table(n)  # a CapacityError comes before any census work
     try:
         hist = _fpl.histogram(n, max_n=max_n)
-    except ConjectureViolation as exc:
-        report.add("census-total", False, f"{exc} {exc.details}")
+    except ConjectureViolation as exc:  # census-sweep or census-total
+        report.add(exc.check or "census-total", False, f"{exc} {exc.details}")
         report.elapsed_seconds = time.perf_counter() - t0
         return report
     total = hist.total()

@@ -9,6 +9,7 @@ routes.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from loopmodel import fpl, patterns, render
-from loopmodel.errors import CapacityError
+from loopmodel.errors import CapacityError, ConjectureViolation
 
 # frozen small-n tallies, rank -> count (derived by the brute-force
 # route below, pinned here as literals)
@@ -30,6 +31,10 @@ ORACLE_HIST = {
 }
 
 STATE_TOTALS = [1, 2, 7, 42, 429, 7436, 218348, 10850216, 911835460]
+
+# sha256 of histogram(7).to_csv_text(), pinned from the per-key sweep
+# the bucketed census replaced
+CSV_N7_SHA256 = "d81971c2fc2e4390c9f8b39342528255cd9273334e649b5ded5b29292a502834"
 
 
 def brute_force_asms(n):
@@ -51,6 +56,19 @@ def brute_force_asms(n):
         if ok:
             out.append(tuple(map(tuple, rows)))
     return out
+
+
+def brute_force_row_moves(n):
+    """The row-move table by testing every (v, v2) pair: 4**n shape calls."""
+    moves = []
+    for v in range(1 << n):
+        row = []
+        for v2 in range(1 << n):
+            odd = fpl._row_shapes(n, v, v2, 1)
+            if odd is not None:
+                row.append((v2, odd, fpl._row_shapes(n, v, v2, 0)))
+        moves.append(row)
+    return moves
 
 
 def pattern_by_union_find(state):
@@ -123,6 +141,66 @@ def test_histogram_totals_and_coverage(n):
     assert hist.total() == fpl.asm_count(n)
     assert len(hist.counts) == patterns.catalan(n)
     assert all(c >= 1 for c in hist.counts.values())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_moves_match_brute_force(n):
+    moves = fpl._row_moves(n)
+    assert moves == brute_force_row_moves(n)
+    assert sum(len(row) for row in moves) == (3 ** n - 1) // 2
+    assert all(mask in fpl._SHAPES
+               for row in moves for _, odd, even in row for mask in odd + even)
+
+
+def test_census_matches_per_state_enumeration():
+    # enumerate_states never merges, so this checks the buckets and the
+    # packed arcs independently of the sweep's bookkeeping
+    for n in range(1, 7):
+        tally: dict[int, int] = {}
+        for st in fpl.enumerate_states(n):
+            r = patterns.rank(fpl.link_pattern_of(st))
+            tally[r] = tally.get(r, 0) + 1
+        assert fpl.histogram(n).counts == tally
+
+
+@pytest.mark.slow
+def test_histogram_csv_n7_pinned():
+    text = fpl.histogram(7).to_csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == CSV_N7_SHA256
+
+
+def test_packed_arcs_decode():
+    n, rank_of = 3, patterns._basis(3)[1]
+
+    def pack(*arcs):
+        return fpl._pack(arcs)
+
+    good = pack((1, 2), (3, 6), (4, 5))
+    assert fpl._pattern_rank(n, good, rank_of) == patterns.rank(
+        patterns.LinkPattern.from_pairs([(1, 2), (3, 6), (4, 5)]))
+    overlap = "overlapping or out-of-range"
+    cover = "cover every stub"
+    bad = {
+        "missing stub": (pack((1, 2), (3, 6)), cover),
+        "shared stub": (pack((1, 2), (2, 3), (4, 5), (5, 6)), overlap),
+        "two arcs in one field": (pack((1, 2), (3, 4), (3, 6)), overlap),
+        "partner out of range": (pack((1, 2), (3, 4), (5, 7)), overlap),
+        "partner below its stub":
+            (pack((1, 2), (3, 4)) + (5 << fpl.ARC_BITS * 5), overlap),
+        "bits above the last field": (good + (1 << fpl.ARC_BITS * 6), cover),
+        "crossing": (pack((1, 3), (2, 4), (5, 6)), "crossing"),
+    }
+    for what, (packed, message) in bad.items():
+        with pytest.raises(ConjectureViolation, match=message) as info:
+            fpl._pattern_rank(n, packed, rank_of)
+        assert info.value.check == "census-sweep", what
+
+
+def test_packed_field_ceiling():
+    # stub 2n must fit an ARC_BITS-wide field: n = 15 is the last size
+    assert 2 * 15 < 1 << fpl.ARC_BITS <= 2 * 16
+    with pytest.raises(CapacityError):
+        fpl.histogram(16, max_n=16)
 
 
 @pytest.mark.slow
@@ -284,7 +362,7 @@ def test_stub_positions_clockwise():
         1: ("T", 1), 2: ("T", 3), 3: ("R", 2),
         4: ("B", 3), 5: ("B", 1), 6: ("L", 2),
     }
-    for n in range(1, 8):
+    for n in range(1, 16):
         assert sorted(fpl.stub_positions(n)) == list(range(1, 2 * n + 1))
 
 

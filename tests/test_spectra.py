@@ -314,6 +314,89 @@ def test_verify_conjecture_reports_failure_structurally():
     assert "[FAIL]" in rep.summary_lines()[0]
 
 
+def test_broken_sweep_invariant_is_census_sweep(monkeypatch):
+    # a right stub that catches no path end is a sweep fault, not a total
+    real = fpl._row_tokens
+    monkeypatch.setattr(fpl, "_row_tokens", lambda n, r: (real(n, r)[0], None))
+    rep = spectra.verify_conjecture(3)
+    assert [(c.name, c.passed) for c in rep.checks] == [("census-sweep", False)]
+    assert "unnumbered right stub" in rep.checks[0].details
+
+
+LINKAGE_CHECKS = {"census-sweep", "census-equals-eigenvector", "preimage-identity"}
+
+
+def _swap_first_two(tokens, keep):
+    """Swap the first two tokens satisfying keep; True if there were two."""
+    at = [j for j, t in enumerate(tokens) if t is not None and keep(t)][:2]
+    if len(at) < 2:
+        return False
+    i, j = at
+    tokens[i], tokens[j] = tokens[j], tokens[i]
+    return True
+
+
+def _linkage_failures(n):
+    rep = spectra.verify_conjecture(n)  # must not raise
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert failed & LINKAGE_CHECKS, failed
+    assert "census-total" not in failed
+    return failed
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_swapped_bottom_tokens_fail_a_named_check(monkeypatch, n):
+    # swapping two live tokens before the bottom stubs close keeps every
+    # total but breaks the linkage: partner columns that no longer point
+    # at each other leave stubs uncovered, swapped stubs move arcs
+    real = fpl._bottom_arcs
+
+    def swapped(n, F):
+        F = list(F)
+        _swap_first_two(F, lambda t: True)
+        return real(n, F)
+
+    monkeypatch.setattr(fpl, "_bottom_arcs", swapped)
+    _linkage_failures(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_renested_bottom_arcs_fail_census_equals_eigenvector(monkeypatch, n):
+    # (a, a+1), (a+2, a+3) closed at the bottom become (a, a+3),
+    # (a+1, a+2): still a noncrossing matching, so only the comparison
+    # with the eigenvector can notice
+    real = fpl._bottom_arcs
+
+    def renested(n, F):
+        arcs = real(n, F)
+        for i, (a, b) in enumerate(arcs):
+            if b == a + 1 and (b + 1, b + 2) in arcs:
+                arcs[arcs.index((b + 1, b + 2))] = (b, b + 1)
+                arcs[i] = (a, b + 2)
+                break
+        return arcs
+
+    monkeypatch.setattr(fpl, "_bottom_arcs", renested)
+    assert "census-equals-eigenvector" in _linkage_failures(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_misjoined_row_fails_a_named_check(monkeypatch, n):
+    # after a row, two path ends in the frontier trade the stubs they
+    # are joined to: every total stays, the matchings change
+    real = fpl._apply_row
+    hits = []
+
+    def misjoin(F, shapes, pend, right_stub, new_arcs):
+        real(F, shapes, pend, right_stub, new_arcs)
+        if _swap_first_two(F, lambda t: t < 0):
+            hits.append(1)
+
+    monkeypatch.setattr(fpl, "_apply_row", misjoin)
+    _linkage_failures(n)
+    assert hits
+
+
 @pytest.mark.slow
 def test_verify_conjecture_n7():
     rep = spectra.verify_conjecture(7)
