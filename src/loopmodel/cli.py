@@ -7,8 +7,10 @@ spectrum comparison, ``sample`` drives the Markov-chain sampler, and
 ``render`` draws states and patterns.  Results are cached per n under
 a root taken from $LOOPMODEL_CACHE (default ~/.cache/loopmodel), each
 file carrying a format version and a checksum and written atomically;
-corrupt cache entries are recomputed silently, and a cached eigenvector
-is used only after it passes the same certificate as a fresh one.
+corrupt cache entries are recomputed silently, a cached census is used
+only when its n, its total A_n and its ranks fit the request, and a
+cached eigenvector only after it passes the same certificate as a fresh
+one.
 
 Exit status: 0 on success, 1 when a requested check fails, 2 on a
 capacity refusal (the message names the ceiling and how to raise it).
@@ -93,15 +95,29 @@ def _emit(text: str, out: str | None) -> None:
         print(f"wrote {out}")
 
 
+def _cached_histogram(n: int) -> _fpl.PatternHistogram | None:
+    """The cached census for n, or None unless it parses, is for n, has
+    total A_n and ranks only inside the basis."""
+    payload = cache_load(n, "histogram")
+    if payload is None:
+        return None
+    try:
+        hist = _fpl.PatternHistogram.from_json_obj(payload)
+    except (ValueError, KeyError, TypeError):
+        return None
+    dim = _pat.catalan(n)
+    if (hist.n != n or hist.total() != _fpl.asm_count(n)
+            or any(not 0 <= r < dim for r in hist.counts)):
+        return None
+    return hist
+
+
 def _histogram(args) -> _fpl.PatternHistogram:
     """Census via cache unless disabled; stores fresh results."""
     if not args.no_cache:
-        payload = cache_load(args.n, "histogram")
-        if payload is not None:
-            try:
-                return _fpl.PatternHistogram.from_json_obj(payload)
-            except ValueError:
-                pass
+        hist = _cached_histogram(args.n)
+        if hist is not None:
+            return hist
     hist = _fpl.histogram(args.n, max_n=args.max_n)
     if not args.no_cache:
         cache_store(args.n, "histogram", hist.to_json_obj())
@@ -141,7 +157,6 @@ def cmd_groundstate(args) -> int:
         psi = _spec.perron_vector(H)
         if not args.no_cache:
             cache_store(args.n, "vector", psi.to_json_obj())
-            cache_store(args.n, "matrix", H.to_json_obj())
     print(f"n={args.n}: eigenvector at 2n={2 * args.n} over {H.dim} patterns")
     print(f"  component sum {psi.total()}")
     print(f"  component max {psi.maximum()}")

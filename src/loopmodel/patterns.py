@@ -268,7 +268,6 @@ def _basis(n: int) -> tuple[tuple[LinkPattern, ...], dict[tuple[int, ...], int]]
             m[a], m[b] = b, a
         arrays.append(tuple(m))
     arrays.sort()
-    assert len(arrays) == count, "enumeration disagrees with Catalan count"
     patterns = tuple(LinkPattern(n, m) for m in arrays)
     index = {m: r for r, m in enumerate(arrays)}
     return patterns, index

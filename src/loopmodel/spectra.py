@@ -31,8 +31,7 @@ import json
 import math
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from . import patterns as _pat
 from .errors import ConjectureViolation
 from .patterns import apply_h
 
-# Step cap of every float power iteration here; exact-arithmetic
+# Step cap of the candidate's float power iteration; exact-arithmetic
 # inputs converge in a few hundred steps, so it only ends runs on
 # matrices whose iterates never settle.
 POWER_MAX_ITER = 100_000
@@ -78,16 +77,6 @@ class SparseIntMatrix:
             y[r] += v * x[c]
         return y
 
-    def dense_rows(self, shift: int = 0) -> list[list[int]]:
-        """Dense row-major copy of (self - shift * I)."""
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        if shift:
-            for i in range(self.dim):
-                rows[i][i] -= shift
-        return rows
-
     def to_coo_text(self) -> str:
         """Deterministic row col value triples, one per line."""
         lines = [f"# operator-sum matrix  n={self.n}  dim={self.dim}"]
@@ -107,10 +96,16 @@ class SparseIntMatrix:
 
 @dataclass(frozen=True)
 class BigIntVector:
-    """An exact integer vector over the pattern basis."""
+    """An exact integer vector over the pattern basis.
+
+    steps is the float power-iteration step count of the candidate it
+    was certified from (0 when it came from elsewhere); it takes no part
+    in equality or the JSON artifact.
+    """
 
     n: int
     components: tuple[int, ...]
+    steps: int = field(default=0, compare=False)
 
     @property
     def dim(self) -> int:
@@ -228,23 +223,31 @@ def certify_perron(H: SparseIntMatrix, v: Iterable[int]) -> BigIntVector:
     return BigIntVector(H.n, tuple(ints))
 
 
-def _perron_candidate(H: SparseIntMatrix) -> list[int]:
-    """Float guess at the eigenvector at 2n: scaled to minimum 1, rounded.
+def _perron_candidate(H: SparseIntMatrix) -> tuple[list[int], int]:
+    """Float guess at the eigenvector at 2n, and its power-iteration steps.
 
-    The guess can only be right when the coprime vector has smallest
-    component 1, as the census does (some pattern has a single state).
+    The guess is the iterate scaled to minimum 1 and rounded.  It can
+    only be right when the coprime vector has smallest component 1, as
+    the census does (some pattern has a single state).
     Power iteration from the all-ones start, each iterate scaled to
-    maximum 1.  H times an integer vector below 2**53 is exact in
+    maximum 1, applies H as one bincount over arrays built once from
+    H.entries.  H times an integer vector below 2**53 is exact in
     float64, so the loop stops at the first rounded guess with
     H v = 2n v, or once the iterate stops changing and no better guess
     will come.  Past 2**53 a float no longer holds every integer, so a
     smaller minimum gives the rounded iterate itself, and the
     certificate judges that.
     """
-    apply = _float_operator(H)
+    keys = np.array(list(H.entries), dtype=np.int64).reshape(-1, 2)
+    vals = np.fromiter(H.entries.values(), dtype=np.float64, count=len(H.entries))
+    rows, cols = keys[:, 0], keys[:, 1]
+
+    def apply(x):
+        return np.bincount(rows, weights=vals * x[cols], minlength=H.dim)
+
     two_n = 2 * H.n
     x = np.ones(H.dim)
-    for _ in range(POWER_MAX_ITER):
+    for step in range(1, POWER_MAX_ITER + 1):
         y = apply(x)
         y /= y.max()
         lo = y.min()
@@ -252,7 +255,7 @@ def _perron_candidate(H: SparseIntMatrix) -> list[int]:
         if np.array_equal(apply(v), two_n * v) or np.array_equal(y, x):
             break
         x = y
-    return [int(c) for c in v]
+    return [int(c) for c in v], step
 
 
 def perron_vector(H: SparseIntMatrix) -> BigIntVector:
@@ -260,134 +263,41 @@ def perron_vector(H: SparseIntMatrix) -> BigIntVector:
 
     The float candidate is certified by :func:`certify_perron`; any
     failed check raises ConjectureViolation with a details dict, so
-    verification drivers can report rather than die.
+    verification drivers can report rather than die.  The result
+    carries the candidate's step count as ``steps``.
     """
-    return certify_perron(H, _perron_candidate(H))
-
-
-# -- exact reference: fraction-free elimination ------------------------------
-
-
-def _kernel_bareiss(rows: list[list[int]]) -> list[int]:
-    """Kernel vector by fraction-free elimination over big integers.
-
-    Intermediate entries are exact minors (Bareiss division is exact),
-    so nothing is ever rounded.  Raises ConjectureViolation when the
-    nullity is not 1.  Quadratic fill makes this a small-dimension
-    tool; tests use it as an exact reference independent of the
-    Perron–Frobenius certificate.
-    """
-    M = [list(r) for r in rows]
-    d = len(M)
-    prev = 1
-    pivots: list[tuple[int, int]] = []
-    free_cols: list[int] = []
-    r = 0
-    for c in range(d):
-        pr = next((i for i in range(r, d) if M[i][c]), None)
-        if pr is None:
-            free_cols.append(c)
-            continue
-        if pr != r:
-            M[r], M[pr] = M[pr], M[r]
-        for i in range(r + 1, d):
-            mic = M[i][c]
-            mrc = M[r][c]
-            row_i, row_r = M[i], M[r]
-            for j in range(c + 1, d):
-                row_i[j] = (mrc * row_i[j] - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = M[r][c]
-        pivots.append((r, c))
-        r += 1
-        if r == d:
-            free_cols.extend(range(c + 1, d))
-            break
-    if r == d:
-        raise ConjectureViolation(
-            "matrix minus its expected top eigenvalue is invertible",
-            {"rank": r, "dim": d, "engine": "bareiss"},
-        )
-    if r < d - 1:
-        raise ConjectureViolation(
-            "kernel dimension exceeds 1",
-            {"rank": r, "dim": d, "engine": "bareiss"},
-        )
-    x = [Fraction(0)] * d
-    x[free_cols[0]] = Fraction(1)
-    for rr, cc in reversed(pivots):
-        s = sum((Fraction(M[rr][j]) * x[j] for j in range(cc + 1, d)), Fraction(0))
-        x[cc] = -s / M[rr][cc]
-    lcm = 1
-    for fr in x:
-        lcm = lcm * fr.denominator // math.gcd(lcm, fr.denominator)
-    ints = [int(fr * lcm) for fr in x]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    ints = [v // g for v in ints]
-    if sum(1 for v in ints if v < 0) * 2 > len(ints):
-        ints = [-v for v in ints]
-    return ints
-
-
-# -- floating cross-check -------------------------------------------------
-
-
-def _float_operator(H: SparseIntMatrix):
-    """The map x -> H x in float64, over arrays built once from H.entries."""
-    keys = np.array(list(H.entries), dtype=np.int64).reshape(-1, 2)
-    vals = np.fromiter(H.entries.values(), dtype=np.float64, count=len(H.entries))
-    rows, cols = keys[:, 0], keys[:, 1]
-    return lambda x: np.bincount(rows, weights=vals * x[cols], minlength=H.dim)
+    candidate, steps = _perron_candidate(H)
+    return replace(certify_perron(H, candidate), steps=steps)
 
 
 @dataclass(frozen=True)
 class SpectralCheck:
-    """Result of the spectral-radius consistency checks."""
+    """Exact facts that fix the spectral radius of H at 2n."""
 
     column_sums_ok: bool
-    eigenvalue: float
+    nonnegative: bool
     iterations: int
-    converged: bool
-    relative_error: float
 
     @property
     def passed(self) -> bool:
-        return self.column_sums_ok and self.converged and self.relative_error <= 1e-9
+        return self.column_sums_ok and self.nonnegative
 
 
-def power_iteration(H: SparseIntMatrix, tol: float = 1e-9,
-                    max_iter: int = POWER_MAX_ITER) -> tuple[float, int, bool]:
-    """Dominant eigenvalue by plain power iteration in floats.
+def spectral_radius_check(H: SparseIntMatrix, psi: BigIntVector) -> SpectralCheck:
+    """Whether H >= 0 with every column summing to 2n, in exact integers.
 
-    Deterministic all-ones start.  The matrix is not symmetric, so a
-    small residual does not pin the Rayleigh estimate equally tightly;
-    iteration therefore continues until the residual
-    ||Hx - lam*x||_inf falls two decades below tol * lam, which leaves
-    the estimate itself comfortably inside tol at geometric convergence
-    cost (a handful of extra steps).
+    A nonnegative matrix's spectral radius lies between its smallest
+    and largest column sums, so these two facts make rho(H) = 2n
+    exactly; the certified psi, a positive eigenvector at 2n of an
+    irreducible H, makes 2n simple.  iterations records the power
+    iteration steps of psi's candidate; no float enters the verdict.
     """
-    apply = _float_operator(H)
-    d = H.dim
-    x = np.full(d, 1.0 / d)
-    lam = 0.0
-    for k in range(1, max_iter + 1):
-        y = apply(x)
-        lam = float(x @ y) / float(x @ x)
-        if float(np.abs(y - lam * x).max()) <= 0.01 * tol * abs(lam):
-            return lam, k, True
-        x = y / float(np.linalg.norm(y))
-    return lam, max_iter, False
-
-
-def spectral_radius_check(H: SparseIntMatrix, tol: float = 1e-9) -> SpectralCheck:
-    """Exact column sums plus an independent floating eigenvalue probe."""
     two_n = 2 * H.n
-    sums_ok = all(s == two_n for s in H.column_sums())
-    lam, iters, conv = power_iteration(H, tol=tol)
-    rel = abs(lam - two_n) / two_n
-    return SpectralCheck(sums_ok, lam, iters, conv, rel)
+    return SpectralCheck(
+        all(s == two_n for s in H.column_sums()),
+        all(a >= 0 for a in H.entries.values()),
+        psi.steps,
+    )
 
 
 # -- census-side identities ----------------------------------------------
@@ -482,9 +392,10 @@ class VerificationReport:
 def verify_conjecture(n: int, max_n: int | None = None) -> VerificationReport:
     """Compare the grid census against the exact top eigenvector.
 
-    Runs every structural check at exact integer or rational precision
-    (the lone float item is the power-iteration probe) and returns a
-    report; mathematical failures become failed checks, not exceptions.
+    Every check is decided in exact integers; floats only propose the
+    eigenvector candidate, which the certificate then proves.  Returns
+    a report; mathematical failures become failed checks, not
+    exceptions.
     """
     t0 = time.perf_counter()
     report = VerificationReport(n)
@@ -583,12 +494,13 @@ def verify_conjecture(n: int, max_n: int | None = None) -> VerificationReport:
         "matrix commutes with the dihedral permutation action",
     )
 
-    sc = spectral_radius_check(H)
+    sc = spectral_radius_check(H, psi)
     report.add(
         "spectral-radius",
         sc.passed,
         f"column sums {'= 2n' if sc.column_sums_ok else 'BROKEN'}, "
-        f"power iteration {sc.eigenvalue:.12g} in {sc.iterations} steps",
+        f"entries {'nonnegative' if sc.nonnegative else 'NEGATIVE'}; "
+        f"power-iteration steps of the candidate: {sc.iterations}",
     )
 
     report.elapsed_seconds = time.perf_counter() - t0

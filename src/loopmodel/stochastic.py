@@ -100,23 +100,12 @@ class PatternDistribution:
         ) / 2
 
 
-def stationary_law(n: int, source: str = "histogram",
-                   max_n: int | None = None) -> PatternDistribution:
-    """The conjectured stationary law count(pattern)/total, exactly.
-
-    source="histogram" reads the grid census; source="perron" reads
-    the exact top eigenvector instead, for an independent route.
-    """
-    if source == "histogram":
-        hist = _fpl.histogram(n, max_n=max_n)
-        total = hist.total()
-        probs = {r: Fraction(c, total) for r, c in hist.counts.items()}
-    elif source == "perron":
-        psi = _spec.perron_vector(_spec.build_hamiltonian(n))
-        s = psi.total()
-        probs = {r: Fraction(v, s) for r, v in enumerate(psi.components)}
-    else:
-        raise ValueError(f"unknown source {source!r}")
+def stationary_law(n: int, max_n: int | None = None) -> PatternDistribution:
+    """The conjectured stationary law count(pattern)/total of the grid
+    census, exactly."""
+    hist = _fpl.histogram(n, max_n=max_n)
+    total = hist.total()
+    probs = {r: Fraction(c, total) for r, c in hist.counts.items()}
     return PatternDistribution(n, probs)
 
 

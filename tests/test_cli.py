@@ -77,6 +77,32 @@ def test_cache_reuse_and_corruption_recovery(cache, tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def _double_counts(obj):
+    obj["counts"] = {r: 2 * c for r, c in obj["counts"].items()}
+    obj["total"] *= 2
+
+
+def _move_last_rank_out(obj):
+    obj["counts"]["14"] = obj["counts"].pop("13")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda obj: obj.update(fpl.histogram(5).to_json_obj()),
+    _double_counts,
+    _move_last_rank_out,
+    lambda obj: obj.pop("n"),
+], ids=["n5-under-n4", "total-not-A4", "rank-outside-basis", "no-n"])
+def test_wrong_cached_census_is_recomputed(cache, tmp_path, corrupt):
+    fresh = fpl.histogram(4).to_json_obj()
+    wrong = fpl.histogram(4).to_json_obj()
+    corrupt(wrong)
+    cli.cache_store(4, "histogram", wrong)  # checksum matches the payload
+    out = tmp_path / "h4.json"
+    assert run(["enumerate", "-n", "4", "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == fresh
+    assert cli.cache_load(4, "histogram") == fresh
+
+
 def test_groundstate_artifact(cache, tmp_path, capsys):
     out = tmp_path / "v4.json"
     assert run(["groundstate", "-n", "4", "--out", str(out)]) == 0
@@ -86,6 +112,11 @@ def test_groundstate_artifact(cache, tmp_path, capsys):
     assert obj["component_max"] == "7"
     text = capsys.readouterr().out
     assert "component sum 42" in text and "component max 7" in text
+
+
+def test_groundstate_caches_only_the_vector(cache, tmp_path):
+    assert run(["groundstate", "-n", "4", "--out", str(tmp_path / "v4.json")]) == 0
+    assert [p.name for p in (cache / "n=4").iterdir()] == ["vector.json"]
 
 
 def test_groundstate_recertifies_cached_vector(cache, tmp_path, capsys):

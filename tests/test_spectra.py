@@ -6,6 +6,8 @@ the basis permutation connecting that order to the canonical one.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from exact_reference import dense_rows, kernel_bareiss
 from loopmodel import fpl, patterns, spectra, stochastic
 from loopmodel.errors import CapacityError, ConjectureViolation
 
@@ -60,10 +63,10 @@ CENSUS_N4 = [7, 3, 3, 3, 1, 3, 1, 3, 1, 7, 3, 3, 3, 1]
 
 def test_smallest_matrices():
     H1 = spectra.build_hamiltonian(1)
-    assert H1.dense_rows() == [[2]]
+    assert dense_rows(H1) == [[2]]
     assert spectra.perron_vector(H1).components == (1,)
     H2 = spectra.build_hamiltonian(2)
-    assert H2.dense_rows() == [[2, 2], [2, 2]]
+    assert dense_rows(H2) == [[2, 2], [2, 2]]
     assert spectra.perron_vector(H2).components == (1, 1)
 
 
@@ -101,7 +104,7 @@ def test_engines_agree(n):
     # the certified vector matches an independent exact elimination
     H = spectra.build_hamiltonian(n)
     a = spectra.perron_vector(H)
-    b = spectra._kernel_bareiss(H.dense_rows(shift=2 * n))
+    b = kernel_bareiss(dense_rows(H, shift=2 * n))
     assert list(a.components) == b
 
 
@@ -121,7 +124,7 @@ def test_violation_when_no_kernel():
         spectra.perron_vector(M)
     assert "invertible" in str(exc.value) or "no eigenvector" in str(exc.value)
     with pytest.raises(ConjectureViolation):
-        spectra._kernel_bareiss(M.dense_rows(shift=4))
+        kernel_bareiss(dense_rows(M, shift=4))
 
 
 def test_violation_when_kernel_too_big():
@@ -131,7 +134,7 @@ def test_violation_when_kernel_too_big():
         spectra.perron_vector(M)
     assert exc.value.details  # structured details travel with it
     with pytest.raises(ConjectureViolation):
-        spectra._kernel_bareiss(M.dense_rows(shift=4))
+        kernel_bareiss(dense_rows(M, shift=4))
 
 
 def test_violation_on_nonpositive_component():
@@ -284,10 +287,27 @@ def test_operator_symmetry(n):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_spectral_radius_check(n):
-    sc = spectra.spectral_radius_check(spectra.build_hamiltonian(n))
-    assert sc.column_sums_ok and sc.converged
-    assert sc.relative_error <= 1e-9
+    H = spectra.build_hamiltonian(n)
+    psi = spectra.perron_vector(H)
+    sc = spectra.spectral_radius_check(H, psi)
+    assert sc.column_sums_ok and sc.nonnegative
     assert sc.passed
+    assert sc.iterations == psi.steps > 0
+
+
+@pytest.mark.parametrize("change, broken", [
+    ({(0, 0): 1}, "column_sums_ok"),  # column 0 sums to 2n + 1
+    ({(0, 0): -5, (3, 0): 5}, "nonnegative"),  # column sums stay 2n
+], ids=["column-sum", "negative-entry"])
+def test_spectral_radius_check_fails(change, broken):
+    H = spectra.build_hamiltonian(4)
+    psi = spectra.perron_vector(H)
+    entries = dict(H.entries)
+    for key, delta in change.items():
+        entries[key] = entries.get(key, 0) + delta
+    sc = spectra.spectral_radius_check(spectra.SparseIntMatrix(4, H.dim, entries), psi)
+    assert not getattr(sc, broken)
+    assert not sc.passed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -304,6 +324,26 @@ def test_verify_conjecture_report(n):
     lines = rep.summary_lines()
     assert len(lines) == len(rep.checks) + 1
     assert all(line.startswith("[pass]") for line in lines)
+
+
+# sha256 of json.dumps(report, sort_keys=True) with elapsed_seconds left out
+REPORT_SHA256 = {
+    1: "7e87801e05010be4beb6d41e2c54c6596cdaaa7bf04f3ea125f2f8f20e7c17c9",
+    2: "dad855e4cfde5a595a6488690720b6f58ac657ce4ee8ee0386c6796f02f846cb",
+    3: "4adc3ea046454e6393394a52c3b16cb832240f4be166a7999177f1f704f9e662",
+    4: "16e9ba4e33ae3a0ec9bae74b007882229d06eb78f6a88c1e883071f763817b80",
+    5: "c2a5f938d266b0aa26ecdca9ce72287e48ef360eb322f6a2f675bf980b40f2bf",
+    6: "a3bdb2e26eeee277925a5c070e338f42342f2ed402519e8a8452f92ea868d42d",
+    7: "6f15da39d966bb6b803ac9a4d407271d147886b37f1bb17ebc0ffd88e7fbfe06",
+}
+
+
+@pytest.mark.parametrize("n", sorted(REPORT_SHA256))
+def test_verify_report_pinned(n):
+    obj = spectra.verify_conjecture(n).to_json_obj()
+    del obj["elapsed_seconds"]
+    digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_SHA256[n]
 
 
 def test_verify_conjecture_reports_failure_structurally():

@@ -77,15 +77,6 @@ def test_tv_distance_exact():
         a.tv_distance(c)
 
 
-def test_stationary_law_routes_agree():
-    for n in (1, 2, 3, 4, 5):
-        a = st.stationary_law(n, source="histogram")
-        b = st.stationary_law(n, source="perron")
-        assert a.probabilities == b.probabilities
-    with pytest.raises(ValueError):
-        st.stationary_law(3, source="guess")
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_exact_one_step_stationarity(n):
     """The census law is exactly invariant under the random-operation chain."""
