@@ -80,7 +80,8 @@ def cache_load(n: int, name: str) -> dict | None:
     try:
         obj = json.loads(path.read_text())
         payload = obj["payload"]
-        if hashlib.sha256(_canonical(payload).encode()).hexdigest() != obj["sha256"]:
+        if (not isinstance(payload, dict)
+                or hashlib.sha256(_canonical(payload).encode()).hexdigest() != obj["sha256"]):
             return None
         return payload
     except (OSError, ValueError, KeyError, TypeError):
@@ -103,7 +104,7 @@ def _cached_histogram(n: int) -> _fpl.PatternHistogram | None:
         return None
     try:
         hist = _fpl.PatternHistogram.from_json_obj(payload)
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, AttributeError):
         return None
     dim = _pat.catalan(n)
     if (hist.n != n or hist.total() != _fpl.asm_count(n)
@@ -151,7 +152,7 @@ def cmd_groundstate(args) -> int:
         if payload is not None and payload.get("kind") == "perron-vector":
             try:
                 psi = _spec.certify_perron(H, payload["components"])
-            except (ConjectureViolation, ValueError):
+            except (ConjectureViolation, ValueError, KeyError, TypeError):
                 pass
     if psi is None:
         psi = _spec.perron_vector(H)

@@ -47,14 +47,15 @@ are added to every entry of its bucket.  An arcs set is packed into one
 integer: the smaller stub a of each arc holds its partner b in an
 ARC_BITS-wide field at bit ARC_BITS * (a - 1).  A disjoint union is then
 integer addition, and equal sets pack to equal integers without
-sorting.  The last row merges all buckets into one {final arcs:
-multiplicity} dict; each distinct final value is decoded once, checked
-to be a perfect noncrossing matching, and ranked.  Totals are exact
-integers throughout.  The sweep is one pass in one process: a level
-split into slices cannot merge across them, and at n = 9 eight slices
-ran 4.06 times the row advances of the single pass.
-`enumerate_states` streams the individual states instead and never
-merges.
+sorting.  Rows 1..n run through one loop.  Row n is an ordinary row
+that keeps only the moves to the all-down mask, closes the frontier
+onto the numbered bottom stubs, and keys every result alike, so the
+last level is one bucket {final arcs: multiplicity}; each distinct
+final value is decoded once, checked to be a perfect noncrossing
+matching, and ranked.  Totals are exact integers throughout.  The sweep
+is one pass in one process, since a level split into slices cannot
+merge across them.  `enumerate_states` streams the individual states
+instead and never merges.
 """
 from __future__ import annotations
 
@@ -241,7 +242,8 @@ def _initial_frontier(n: int) -> tuple:
     Token convention used throughout the sweep: None = no live edge,
     j >= 0 = live edge at column j (0-based), -k = numbered stub k.
     """
-    return tuple(-(j // 2 + 1) if j % 2 == 0 else None for j in range(n))
+    return tuple(None if (s := _top_stub(n, j + 1)) is None else -s
+                 for j in range(n))
 
 
 def _apply_row(F: list, shapes: tuple[int, ...], pend, right_stub: int | None,
@@ -311,14 +313,10 @@ def _bottom_arcs(n: int, F) -> list[tuple[int, int]]:
     """Close the frontier onto the numbered bottom stubs after row n."""
     arcs = []
     for j, t in enumerate(F):
-        if t is None:
-            continue
-        s = (3 * n - j - 1) // 2 + 1  # bottom stub number at column j+1
-        if t < 0:
-            arcs.append((-t, s) if -t < s else (s, -t))
-        elif t > j:
-            s2 = (3 * n - t - 1) // 2 + 1
-            arcs.append((s, s2) if s < s2 else (s2, s))
+        if t is not None and (t < 0 or t > j):  # each column pair once
+            s = _bottom_stub(n, j + 1)
+            u = -t if t < 0 else _bottom_stub(n, t + 1)
+            arcs.append((s, u) if s < u else (u, s))
     return arcs
 
 
@@ -409,24 +407,18 @@ class AsmMatrix:
         n, rows = self.n, self.rows
         if n < 1 or len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("need an n-by-n entry grid")
-        for r in range(n):
-            acc = 0
-            for c in range(n):
-                if rows[r][c] not in (-1, 0, 1):
-                    raise ValueError(f"entry {rows[r][c]} at {(r + 1, c + 1)}")
-                acc += rows[r][c]
-                if acc not in (0, 1):
-                    raise ValueError(f"row {r + 1} prefix sum leaves {{0,1}}")
-            if acc != 1:
-                raise ValueError(f"row {r + 1} sums to {acc}")
-        for c in range(n):
-            acc = 0
-            for r in range(n):
-                acc += rows[r][c]
-                if acc not in (0, 1):
-                    raise ValueError(f"column {c + 1} prefix sum leaves {{0,1}}")
-            if acc != 1:
-                raise ValueError(f"column {c + 1} sums to {acc}")
+        for kind, lines in (("row", rows), ("column", zip(*rows))):
+            for i, line in enumerate(lines, 1):
+                acc = 0
+                for j, x in enumerate(line, 1):
+                    if x not in (-1, 0, 1):
+                        pos = (i, j) if kind == "row" else (j, i)
+                        raise ValueError(f"entry {x} at {pos}")
+                    acc += x
+                    if acc not in (0, 1):
+                        raise ValueError(f"{kind} {i} prefix sum leaves {{0,1}}")
+                if acc != 1:
+                    raise ValueError(f"{kind} {i} sums to {acc}")
 
     def to_text(self) -> str:
         """Entries space-separated, one matrix row per line."""
@@ -443,27 +435,17 @@ def asm_stream_text(matrices) -> str:
 def state_to_asm(state: FplState) -> AsmMatrix:
     """Forget loops, keep arrows: recover the alternating-sign matrix.
 
-    The arrows of the ice configuration are reconstructed from the
-    shape masks by the checkerboard rule; +1 marks vertices where both
-    arrow streams swap with horizontals inward, -1 the reverse swap.
+    Each entry is the change of the vertical arrow across its vertex:
+    (arrow below) - (arrow above), both read from the B and U bits of
+    the shape mask by the checkerboard rule.
     """
     n = state.n
     rows = []
     for r in range(1, n + 1):
         row = []
         for c in range(1, n + 1):
-            m = state.shape(r, c)
-            p = (r + c) & 1
-            a = p if m & U else 1 - p
-            l = p if m & L else 1 - p
-            b = 1 - p if m & B else p
-            rgt = 1 - p if m & R else p
-            if (a, l, b, rgt) == (0, 1, 1, 0):
-                row.append(1)
-            elif (a, l, b, rgt) == (1, 0, 0, 1):
-                row.append(-1)
-            else:
-                row.append(0)
+            m, p = state.shape(r, c), (r + c) & 1
+            row.append((1 - p if m & B else p) - (p if m & U else 1 - p))
         rows.append(tuple(row))
     return AsmMatrix(n, tuple(rows))
 
@@ -621,10 +603,12 @@ def _census(n: int) -> dict[int, int]:
 
     A level maps (v, frontier tuple) -> bucket {packed arcs:
     multiplicity}.  Each (v, frontier, move) is advanced once and its
-    new arcs are added to every entry of the bucket.  The last row
-    merges all buckets into one {final arcs: multiplicity} dict, and
-    each distinct final value is decoded once.  Returns a dict rank ->
-    count over final link patterns.
+    new arcs are added to every entry of the bucket.  Rows 1..n share
+    one loop; row n keeps only the moves to the all-down mask, adds the
+    arcs that close onto the bottom stubs, and keys every result with
+    an empty frontier, so the last level is the single bucket {final
+    arcs: multiplicity}.  Each distinct final value is decoded once.
+    Returns a dict rank -> count over final link patterns.
     """
     if 2 * n >= 1 << ARC_BITS:
         raise CapacityError(
@@ -632,16 +616,22 @@ def _census(n: int) -> dict[int, int]:
             f"field; the census handles n <= {((1 << ARC_BITS) - 1) // 2}"
         )
     moves = _row_moves(n)
+    full = (1 << n) - 1
     level: dict = {(0, _initial_frontier(n)): {0: 1}}
-    for r in range(1, n):
-        parity = r & 1
+    for r in range(1, n + 1):
+        parity, last = r & 1, r == n
         left, right = _row_tokens(n, r)
         nxt: dict = {}
         for (v, Ft), bucket in level.items():
             for v2, odd, even in moves[v]:
+                if last and v2 != full:
+                    continue
                 F = list(Ft)
                 new: list[tuple[int, int]] = []
                 _apply_row(F, odd if parity else even, left, right, new)
+                if last:
+                    new += _bottom_arcs(n, F)
+                    F = []
                 add = _pack(new) if new else 0
                 key = (v2, tuple(F))
                 target = nxt.get(key)
@@ -655,26 +645,9 @@ def _census(n: int) -> dict[int, int]:
                         target[p] = get(p, 0) + m
         level = nxt
 
-    full = (1 << n) - 1
-    left, right = _row_tokens(n, n)
-    final: dict[int, int] = {}
-    get = final.get
-    for (v, Ft), bucket in level.items():
-        for v2, odd, even in moves[v]:
-            if v2 != full:
-                continue
-            F = list(Ft)
-            new = []
-            _apply_row(F, odd if n & 1 else even, left, right, new)
-            new.extend(_bottom_arcs(n, F))
-            add = _pack(new)
-            for p, m in bucket.items():
-                p += add
-                final[p] = get(p, 0) + m
-
     _, rank_of = _pat._basis(n)
     counts: dict[int, int] = {}
-    for packed, mult in final.items():
+    for packed, mult in level.get((full, ()), {}).items():
         rank = _pattern_rank(n, packed, rank_of)
         counts[rank] = counts.get(rank, 0) + mult
     return counts

@@ -33,8 +33,6 @@ import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import fpl as _fpl
 from . import patterns as _pat
 from .errors import ConjectureViolation
@@ -236,8 +234,11 @@ def _perron_candidate(H: SparseIntMatrix) -> tuple[list[int], int]:
     H v = 2n v, or once the iterate stops changing and no better guess
     will come.  Past 2**53 a float no longer holds every integer, so a
     smaller minimum gives the rounded iterate itself, and the
-    certificate judges that.
+    certificate judges that.  numpy is imported here, its only use, so
+    the commands that never need a candidate do not load it.
     """
+    import numpy as np
+
     keys = np.array(list(H.entries), dtype=np.int64).reshape(-1, 2)
     vals = np.fromiter(H.entries.values(), dtype=np.float64, count=len(H.entries))
     rows, cols = keys[:, 0], keys[:, 1]

@@ -4,6 +4,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,11 +93,17 @@ def _move_last_rank_out(obj):
     _double_counts,
     _move_last_rank_out,
     lambda obj: obj.pop("n"),
-], ids=["n5-under-n4", "total-not-A4", "rank-outside-basis", "no-n"])
+    lambda obj: obj.update(counts=[1, 2]),
+    ["x"],  # a whole payload in place of a corruption
+], ids=["n5-under-n4", "total-not-A4", "rank-outside-basis", "no-n",
+        "counts-a-list", "not-a-dict"])
 def test_wrong_cached_census_is_recomputed(cache, tmp_path, corrupt):
     fresh = fpl.histogram(4).to_json_obj()
     wrong = fpl.histogram(4).to_json_obj()
-    corrupt(wrong)
+    if callable(corrupt):
+        corrupt(wrong)
+    else:
+        wrong = corrupt
     cli.cache_store(4, "histogram", wrong)  # checksum matches the payload
     out = tmp_path / "h4.json"
     assert run(["enumerate", "-n", "4", "--format", "json", "--out", str(out)]) == 0
@@ -134,6 +142,20 @@ def test_groundstate_recertifies_cached_vector(cache, tmp_path, capsys):
     assert "component sum 42" in capsys.readouterr().out
     assert (tmp_path / "b.json").read_text() == good
     assert cli.cache_load(4, "vector") == json.loads(good)
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "perron-vector"},
+    {"kind": "perron-vector", "components": 5},
+    ["not", "a", "dict"],
+], ids=["no-components", "components-not-a-list", "not-a-dict"])
+def test_malformed_cached_vector_is_recomputed(cache, tmp_path, payload):
+    cli.cache_store(4, "vector", payload)  # checksum matches the payload
+    out = tmp_path / "v4.json"
+    assert run(["groundstate", "-n", "4", "--out", str(out)]) == 0
+    fresh = json.loads(out.read_text())
+    assert fresh["component_sum"] == "42"
+    assert cli.cache_load(4, "vector") == fresh
 
 
 def test_groundstate_matrix_export(cache, tmp_path):
@@ -271,6 +293,18 @@ def test_render_state_with_asm(cache, capsys):
 def test_render_errors(cache, capsys):
     assert run(["render", "-n", "2", "--index", "99"]) == cli.EXIT_FAIL
     assert run(["render"]) == cli.EXIT_FAIL
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the eigenvector candidate; enumerate, sample and
+    # render must not pay for importing it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, loopmodel, loopmodel.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_entry_point_exists():

@@ -36,6 +36,17 @@ STATE_TOTALS = [1, 2, 7, 42, 429, 7436, 218348, 10850216, 911835460]
 # the bucketed census replaced
 CSV_N7_SHA256 = "d81971c2fc2e4390c9f8b39342528255cd9273334e649b5ded5b29292a502834"
 
+# sha256 of histogram(8).to_csv_text(), pinned from the census with a
+# separate block for the last row that the one row loop replaced
+CSV_N8_SHA256 = "4985d9035c9200dd904a4b01423805f77f2f706e8cfbbdbb87bff0de142b4ed4"
+
+# sha256 of asm_stream_text over enumerate_states(n), pinned from the
+# state_to_asm that compared all four arrows against two fixed tuples
+ASM_STREAM_SHA256 = {
+    5: "50e321dfcb59ab106d98a0441b103904de272a2c821e73169306056145cf0520",
+    6: "549841761d3d8d6329618d4171bfb70e056f0da33e2d3586f68925511375126b",
+}
+
 
 def brute_force_asms(n):
     """Every n-by-n matrix over {-1,0,1} passing the line rules."""
@@ -167,6 +178,11 @@ def test_census_matches_per_state_enumeration():
 def test_histogram_csv_n7_pinned():
     text = fpl.histogram(7).to_csv_text()
     assert hashlib.sha256(text.encode()).hexdigest() == CSV_N7_SHA256
+
+
+def test_histogram_csv_n8_pinned():
+    text = fpl.histogram(8).to_csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == CSV_N8_SHA256
 
 
 def test_packed_arcs_decode():
@@ -310,6 +326,26 @@ def test_asm_matrix_validation():
         fpl.AsmMatrix(1, ((-1,),))
     m = fpl.AsmMatrix(2, ((0, 1), (1, 0)))
     assert m.to_text() == " 0  1\n 1  0\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    (((1, 2), (0, 1)), r"entry 2 at \(1, 2\)"),
+    (((1, 0), (0, 5)), r"entry 5 at \(2, 2\)"),
+    (((1, 1), (0, 0)), "row 1 prefix sum"),
+    (((0, 0), (1, 0)), "row 1 sums to 0"),
+    (((1, 0), (1, 0)), "column 1 prefix sum"),
+    (((0, 1), (0, 1)), "column 1 sums to 0"),
+], ids=["entry", "entry-last-row", "row-prefix", "row-sum", "column-prefix",
+        "column-sum"])
+def test_asm_matrix_messages_name_the_line(rows, message):
+    with pytest.raises(ValueError, match=message):
+        fpl.AsmMatrix(len(rows), rows)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_asm_stream_pinned(n):
+    text = fpl.asm_stream_text(fpl.state_to_asm(s) for s in fpl.enumerate_states(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == ASM_STREAM_SHA256[n]
 
 
 def test_asm_stream_text():
