@@ -5,12 +5,13 @@ census, ``groundstate`` builds the operator-sum matrix and extracts
 the exact top eigenvector, ``verify`` runs the full census-versus-
 spectrum comparison, ``sample`` drives the Markov-chain sampler, and
 ``render`` draws states and patterns.  Results are cached per n under
-a root taken from $LOOPMODEL_CACHE (default ~/.cache/loopmodel), each
-file carrying a format version and a checksum and written atomically;
-corrupt cache entries are recomputed silently, a cached census is used
-only when its n, its total A_n and its ranks fit the request, and a
-cached eigenvector only after it passes the same certificate as a fresh
-one.
+a root taken from $LOOPMODEL_CACHE (default ~/.cache/loopmodel), as
+``v<CACHE_VERSION>/n=<n>/<name>.json``, so a format bump never reads an
+older entry.  Each file carries a format version and a checksum and is
+written atomically; corrupt cache entries are recomputed silently, a
+cached census is used only when its n, its total A_n and its ranks fit
+the request, and a cached eigenvector only after it passes the same
+certificate as a fresh one.
 
 Exit status: 0 on success, 1 when a requested check fails, 2 on a
 capacity refusal (the message names the ceiling and how to raise it).
@@ -36,6 +37,7 @@ EXIT_FAIL = 1
 EXIT_CAPACITY = 2
 
 CACHE_ENV = "LOOPMODEL_CACHE"
+CACHE_VERSION = 1  # bump when a cached payload's format changes
 LONG_GATE_N = 8  # census sizes from here up hide behind --long
 
 
@@ -51,7 +53,7 @@ def _canonical(payload: dict) -> str:
 
 
 def _cache_path(n: int, name: str) -> Path:
-    return cache_root() / f"n={n}" / f"{name}.json"
+    return cache_root() / f"v{CACHE_VERSION}" / f"n={n}" / f"{name}.json"
 
 
 def cache_store(n: int, name: str, payload: dict) -> Path:

@@ -234,22 +234,25 @@ def reflect(p: LinkPattern) -> LinkPattern:
 # -- canonical basis, ranking -----------------------------------------
 
 
-def _noncrossing_matchings(positions: tuple[int, ...]):
-    """Yield each noncrossing matching of ``positions`` as pair lists.
+def _lex_matchings(n: int) -> list[tuple[int, ...]]:
+    """Match tuples of the noncrossing matchings of 2n positions, in lex order.
 
-    The first position is paired with every candidate that splits the
-    rest into two even halves; halves match independently, so crossings
-    are impossible by construction.
+    Built from a table indexed by chord count h: position 0 pairs with
+    k = 2j + 1, the inner block 1..k-1 holds a j-chord matching shifted
+    by 1 and the outer block k+1.. an (h-1-j)-chord one shifted by k+1.
+    Ascending k, then inner, then outer is lexicographic order, and the
+    halves match independently, so no chords cross.
     """
-    if not positions:
-        yield []
-        return
-    first = positions[0]
-    for k in range(1, len(positions), 2):
-        inside, outside = positions[1:k], positions[k + 1:]
-        for mi in _noncrossing_matchings(inside):
-            for mo in _noncrossing_matchings(outside):
-                yield [(first, positions[k])] + mi + mo
+    table: list[list[tuple[int, ...]]] = [[()]]
+    for h in range(1, n + 1):
+        rows = []
+        for j in range(h):
+            k = 2 * j + 1
+            inner = [tuple(x + 1 for x in m) for m in table[j]]
+            outer = [tuple(x + k + 1 for x in m) for m in table[h - 1 - j]]
+            rows += [(k, *a, 0, *b) for a in inner for b in outer]
+        table.append(rows)
+    return table[n]
 
 
 @lru_cache(maxsize=None)
@@ -260,14 +263,7 @@ def _basis(n: int) -> tuple[tuple[LinkPattern, ...], dict[tuple[int, ...], int]]
             f"Catalan({n}) = {count} patterns exceeds MAX_PATTERNS = "
             f"{MAX_PATTERNS}; raise loopmodel.patterns.MAX_PATTERNS to override"
         )
-    size = 2 * n
-    arrays = []
-    for pairing in _noncrossing_matchings(tuple(range(size))):
-        m = [0] * size
-        for a, b in pairing:
-            m[a], m[b] = b, a
-        arrays.append(tuple(m))
-    arrays.sort()
+    arrays = _lex_matchings(n)
     patterns = tuple(LinkPattern(n, m) for m in arrays)
     index = {m: r for r, m in enumerate(arrays)}
     return patterns, index

@@ -32,6 +32,7 @@ import math
 import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from . import fpl as _fpl
 from . import patterns as _pat
@@ -224,15 +225,18 @@ def certify_perron(H: SparseIntMatrix, v: Iterable[int]) -> BigIntVector:
 def _perron_candidate(H: SparseIntMatrix) -> tuple[list[int], int]:
     """Float guess at the eigenvector at 2n, and its power-iteration steps.
 
-    The guess is the iterate scaled to minimum 1 and rounded.  It can
-    only be right when the coprime vector has smallest component 1, as
+    The first guess is the iterate scaled to minimum 1 and rounded,
+    which is right when the coprime vector has smallest component 1, as
     the census does (some pattern has a single state).
     Power iteration from the all-ones start, each iterate scaled to
     maximum 1, applies H as one bincount over arrays built once from
     H.entries.  H times an integer vector below 2**53 is exact in
     float64, so the loop stops at the first rounded guess with
     H v = 2n v, or once the iterate stops changing and no better guess
-    will come.  Past 2**53 a float no longer holds every integer, so a
+    will come.  If that guess fails, each ratio to the minimum is read
+    as a fraction with denominator at most 2**20, and the guess is
+    those fractions over their common denominator, divided by their
+    gcd.  Past 2**53 a float no longer holds every integer, so a
     smaller minimum gives the rounded iterate itself, and the
     certificate judges that.  numpy is imported here, its only use, so
     the commands that never need a candidate do not load it.
@@ -252,11 +256,19 @@ def _perron_candidate(H: SparseIntMatrix) -> tuple[list[int], int]:
         y = apply(x)
         y /= y.max()
         lo = y.min()
-        v = np.rint(y / lo) if lo * 2.0 ** 53 > 1 else np.rint(y)
-        if np.array_equal(apply(v), two_n * v) or np.array_equal(y, x):
+        scaled = lo * 2.0 ** 53 > 1
+        v = np.rint(y / lo) if scaled else np.rint(y)
+        exact = np.array_equal(apply(v), two_n * v)
+        if exact or np.array_equal(y, x):
             break
         x = y
-    return [int(c) for c in v], step
+    if exact or not scaled:
+        return [int(c) for c in v], step
+    ratios = [Fraction(r).limit_denominator(2 ** 20) for r in (y / lo).tolist()]
+    den = math.lcm(*(f.denominator for f in ratios))
+    guess = [f.numerator * (den // f.denominator) for f in ratios]
+    g = math.gcd(*guess)
+    return [c // g for c in guess], step
 
 
 def perron_vector(H: SparseIntMatrix) -> BigIntVector:

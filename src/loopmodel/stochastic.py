@@ -12,13 +12,20 @@ whose transition matrix is the operator-sum matrix divided by 2n.
 
 All probability computations are exact rationals; floats appear only
 in reports.  The sampler uses a small explicit 64-bit generator so
-trajectories are reproducible on any platform.
+trajectories are reproducible on any platform.  SplitMix64 is
+counter-based, so the chain draws its moves in blocks: the states of a
+block sit in 128-bit lanes of one Python int and the finalizer mixes
+every lane at once (SIMD within a register).  The draws are
+bit-identical to calling the scalar generator once per move.
 """
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import fpl as _fpl
 from . import patterns as _pat
@@ -28,6 +35,35 @@ from .patterns import LinkPattern, apply_h
 FORMAT_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_BLOCK = 4096  # most draws the chain takes from one lane-packed block
+
+
+def _mix(z: int, mask: int) -> int:
+    """The splitmix64 finalizer on every 64-bit lane of z at once.
+
+    mask keeps the low 64 bits of each lane; a lane is wide enough for
+    a 64 x 64-bit product, so no carry crosses into the next lane.
+    Bits shifted down from the lane above are masked off before each
+    multiply; after the last shift they sit in the lane's high half.
+    """
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return z ^ (z >> 31)
+
+
+def _lane_int(words) -> int:
+    """One int whose 128-bit lane i holds words[i] (each below 2**64)."""
+    return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words), "little")
+
+
+@lru_cache(maxsize=16)
+def _lane_constants(count: int) -> tuple[int, int, int]:
+    """(ones, steps, mask) over count lanes, holding 1, (i + 1) * gamma
+    and 2**64 - 1 in lane i: the lanes of state s are
+    (s * ones + steps) & mask."""
+    ones = _lane_int([1] * count)
+    return ones, _lane_int(range(1, count + 1)) * _GAMMA, ones * _MASK64
 
 
 class SplitMix64:
@@ -42,11 +78,8 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self.state = (self.state + _GAMMA) & _MASK64
+        return _mix(self.state, _MASK64)
 
     def randbelow(self, k: int) -> int:
         """Uniform draw from range(k), unbiased via rejection."""
@@ -57,6 +90,29 @@ class SplitMix64:
             u = self.next_u64()
             if u < limit:
                 return u % k
+
+    def randbelow_many(self, k: int, count: int) -> list[int]:
+        """[self.randbelow(k) for _ in range(count)], computed in lanes.
+
+        Lane i of a block holds the state after i + 1 steps; every lane
+        is mixed at once and read back as 64-bit words.  Rejected draws
+        are dropped and the shortfall comes from a further block, so the
+        draws and the final state match the scalar calls exactly.
+        """
+        if k <= 0:
+            raise ValueError("k must be positive")
+        limit = (1 << 64) - ((1 << 64) % k)
+        out: list[int] = []
+        while len(out) < count:
+            need = count - len(out)
+            ones, steps, mask = _lane_constants(need)
+            z = _mix((self.state * ones + steps) & mask, mask)
+            words = array("Q", z.to_bytes(16 * need, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            out += [u % k for u in words[::2] if u < limit]
+            self.state = (self.state + need * _GAMMA) & _MASK64
+        return out
 
 
 def chain_seed(seed: int, chain: int) -> int:
@@ -143,16 +199,22 @@ def chain_step(p: LinkPattern, rng: SplitMix64) -> LinkPattern:
 
 def _run_chain(n: int, burn_in: int, samples: int, seed: int,
                counts: list[int]) -> None:
-    """Accumulate one chain's sample counts in place."""
+    """Accumulate one chain's sample counts in place.
+
+    Moves are drawn in blocks of at most _BLOCK; the walk is the same
+    as one randbelow(2n) per step.
+    """
     hop = _pat.hop_table(n)
     rng = SplitMix64(seed)
     two_n = 2 * n
     state = 0  # rank of the all-adjacent pattern, the lex minimum
-    for _ in range(burn_in):
-        state = hop[state][rng.randbelow(two_n)]
-    for _ in range(samples):
-        state = hop[state][rng.randbelow(two_n)]
-        counts[state] += 1
+    for start in range(0, burn_in, _BLOCK):
+        for i in rng.randbelow_many(two_n, min(_BLOCK, burn_in - start)):
+            state = hop[state][i]
+    for start in range(0, samples, _BLOCK):
+        for i in rng.randbelow_many(two_n, min(_BLOCK, samples - start)):
+            state = hop[state][i]
+            counts[state] += 1
 
 
 @dataclass(frozen=True)

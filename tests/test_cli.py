@@ -66,7 +66,7 @@ def test_cache_reuse_and_corruption_recovery(cache, tmp_path, capsys):
     out = tmp_path / "h3.json"
     assert run(["enumerate", "-n", "3", "--format", "json", "--out", str(out)]) == 0
     first = out.read_bytes()
-    cached = cache / "n=3" / "histogram.json"
+    cached = cache / "v1" / "n=3" / "histogram.json"
     assert cached.exists()
     # warm rerun gives identical bytes
     assert run(["enumerate", "-n", "3", "--format", "json", "--out", str(out)]) == 0
@@ -124,13 +124,13 @@ def test_groundstate_artifact(cache, tmp_path, capsys):
 
 def test_groundstate_caches_only_the_vector(cache, tmp_path):
     assert run(["groundstate", "-n", "4", "--out", str(tmp_path / "v4.json")]) == 0
-    assert [p.name for p in (cache / "n=4").iterdir()] == ["vector.json"]
+    assert [p.name for p in (cache / "v1" / "n=4").iterdir()] == ["vector.json"]
 
 
 def test_groundstate_recertifies_cached_vector(cache, tmp_path, capsys):
     assert run(["groundstate", "-n", "4", "--out", str(tmp_path / "a.json")]) == 0
     good = (tmp_path / "a.json").read_text()
-    cached = cache / "n=4" / "vector.json"
+    cached = cache / "v1" / "n=4" / "vector.json"
     obj = json.loads(cached.read_text())
     comps = obj["payload"]["components"]
     comps[0] = str(int(comps[0]) + 1)
@@ -214,7 +214,21 @@ def test_cache_store_is_atomic(cache, monkeypatch):
     with pytest.raises(OSError):
         cli.cache_store(3, "vector", {"kind": "b"})
     assert cli.cache_load(3, "vector") == {"kind": "a"}
-    assert [p.name for p in (cache / "n=3").iterdir()] == ["vector.json"]
+    assert [p.name for p in (cache / "v1" / "n=3").iterdir()] == ["vector.json"]
+
+
+def test_unversioned_cache_entry_is_a_miss(cache, tmp_path):
+    # an entry in the layout before cache versioning, checksum intact
+    payload = {"kind": "from-an-older-format"}
+    old = cache / "n=3" / "histogram.json"
+    old.parent.mkdir(parents=True)
+    sha = hashlib.sha256(cli._canonical(payload).encode()).hexdigest()
+    old.write_text(json.dumps({"sha256": sha, "payload": payload}))
+    assert cli.cache_load(3, "histogram") is None
+    out = tmp_path / "h3.csv"
+    assert run(["enumerate", "-n", "3", "--out", str(out)]) == 0
+    assert cli.cache_load(3, "histogram")["n"] == 3
+    assert json.loads(old.read_text())["payload"] == payload
 
 
 def test_verify_long_gate(cache, capsys):
@@ -295,16 +309,31 @@ def test_render_errors(cache, capsys):
     assert run(["render"]) == cli.EXIT_FAIL
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves only the eigenvector candidate; enumerate, sample and
-    # render must not pay for importing it
+def _numpy_loaded_after(code: str, tmp_path) -> str:
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, loopmodel, loopmodel.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src), LOOPMODEL_CACHE=str(tmp_path))
+    code += "\nprint('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # numpy serves only the eigenvector candidate; enumerate, sample and
+    # render must not pay for importing it
+    code = "import sys, loopmodel, loopmodel.cli"
+    assert _numpy_loaded_after(code, tmp_path) == "False"
+
+
+def test_sample_leaves_numpy_unloaded(tmp_path):
+    # the chain and its exact-law comparison run without numpy
+    out = tmp_path / "s.json"
+    code = ("import sys, loopmodel.cli\n"
+            f"loopmodel.cli.main(['sample', '-n', '4', '--samples', '2000', "
+            f"'--out', {str(out)!r}])")
+    assert _numpy_loaded_after(code, tmp_path) == "False"
+    assert out.exists()
 
 
 def test_entry_point_exists():

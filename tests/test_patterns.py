@@ -1,6 +1,8 @@
 """Link-pattern basics: construction, ranking, and operator algebra."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,20 @@ def test_enumerate_sizes_and_canonical_order():
         # rank 0 is the all-adjacent pattern; at n=1 its single chord is
         # cyclically adjacent from both ends
         assert basis[0].adjacent_arcs() == (n if n > 1 else 2)
+
+
+# sha256 of the basis as `to_text` lines, pinned from the sorted
+# enumeration of every noncrossing matching
+BASIS_SHA256 = {
+    9: "20efce0ab6a4306499ec0253772193e452d34e12f9211425ecd832f5bebb9ba0",
+    10: "007e1eacca29c4d7ca4e821aefc514228b719a2eb5d31c74455c6f99aabb1789",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BASIS_SHA256))
+def test_basis_order_pinned(n):
+    text = "\n".join(p.to_text() for p in pat.enumerate_patterns(n)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == BASIS_SHA256[n]
 
 
 def test_rank_unrank_round_trip():

@@ -166,6 +166,20 @@ def test_certificate_rejects(matrix, vector, reason):
     assert exc.value.details
 
 
+def test_perron_vector_with_smallest_component_above_one():
+    # one unit of the n = 4 H moved from (0, 0) to (3, 0): column sums
+    # stay 8, and the Perron vector's smallest component is 5083, so the
+    # rounded minimum-1 guess fails and the rational guess is certified
+    H = spectra.build_hamiltonian(4)
+    entries = dict(H.entries)
+    entries[(0, 0)] -= 1
+    entries[(3, 0)] = entries.get((3, 0), 0) + 1
+    moved = spectra.SparseIntMatrix(4, H.dim, entries)
+    psi = spectra.perron_vector(moved)
+    assert list(psi.components) == kernel_bareiss(dense_rows(moved, shift=8))
+    assert min(psi.components) == 5083
+
+
 @pytest.mark.parametrize("change", [
     {(0, 0): 1},
     {(0, 0): -1},

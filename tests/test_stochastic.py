@@ -1,6 +1,7 @@
 """Game identities, chain structure, and the stationary-law sampler."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,24 @@ def test_randbelow_range_and_determinism():
     assert set(draws) == set(range(7))
     with pytest.raises(ValueError):
         SplitMix64(0).randbelow(0)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["seed0", "seed2^64-1"])
+@pytest.mark.parametrize("count", [1, 333, 4096])
+@pytest.mark.parametrize("k", [1, 7, 20, 2**64 - 1, 2**63 + 1],
+                         ids=["k1", "k7", "k20", "k2^64-1", "k2^63+1"])
+def test_randbelow_many_matches_repeated_randbelow(k, count, seed):
+    # at k = 2**63 + 1 about half the 64-bit draws are rejected
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    expected = [scalar.randbelow(k) for _ in range(count)]
+    assert block.randbelow_many(k, count) == expected
+    assert block.state == scalar.state
+
+
+def test_randbelow_many_rejects_empty_range():
+    for k in (0, -3):
+        with pytest.raises(ValueError):
+            SplitMix64(0).randbelow_many(k, 5)
 
 
 def test_player_a_matches_census_share():
@@ -130,11 +149,31 @@ def test_sampler_reproducible_and_mergeable():
 
 
 def test_sampler_fixed_trajectory_regression():
+    # counts pinned from the scalar one-draw-per-step chain
     rep = st.sample_stationary(2, burn_in=10, samples=40, seed=7)
-    # rank-0 count pinned by the deterministic generator
-    assert sum(rep.counts) == 40
-    again = st.sample_stationary(2, burn_in=10, samples=40, seed=7)
-    assert rep.counts == again.counts
+    assert rep.counts == (20, 20)
+    rep = st.sample_stationary(4, burn_in=10, samples=40, seed=7)
+    assert rep.counts == (11, 4, 1, 2, 1, 3, 1, 2, 0, 4, 0, 8, 3, 0)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sampler_json_pinned_n6_three_chains():
+    rep = st.sample_stationary(6, burn_in=1000, samples=100_000, seed=3,
+                               chains=3, compare=False)
+    assert _sha256(rep.to_json()) == (
+        "0ec6731c5d41397ec1c9891cd3339e5d4c6c73df0c3aa04a7eaf6679407e58f2")
+
+
+def test_sampler_json_pinned_n10():
+    # the bytes `sample -n 10 --no-compare --seed 1 --samples 1000000` writes;
+    # 1,001,000 steps cross many 4096-draw blocks and a partial last one
+    rep = st.sample_stationary(10, burn_in=1000, samples=1_000_000, seed=1,
+                               compare=False)
+    assert _sha256(rep.to_json()) == (
+        "f0505aecaed35d5acc36d981e03eca568f48019355ce64f7f0444f95e002fea1")
 
 
 def test_sampler_n1_trivial():
