@@ -23,6 +23,12 @@ the constructor re-checks on every result.
 ``hop_table(n)`` tabulates every rewiring over the basis once per n; the
 operator-sum matrix, the preimage sums, the game probabilities and the
 Markov chain all read it, behind the one ceiling ``MAX_HOP_TABLE``.
+Rewiring commutes with rotation, so only one pattern per rotation orbit
+is rewired and the orbit's other rows are relabelled copies.  Every
+rewired, rotated or reflected match tuple is looked up in the basis
+index, and that lookup is its validity check: only noncrossing
+matchings are keys.  ``rotate`` and ``reflect`` stay as the
+definition-direct references, as ``apply_h`` does beside ``_rewire``.
 """
 from __future__ import annotations
 
@@ -54,7 +60,7 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkPattern:
     """An immutable noncrossing perfect matching of 2n circle positions.
 
@@ -287,22 +293,28 @@ def unrank(n: int, r: int) -> LinkPattern:
     return patterns[r]
 
 
+@lru_cache(maxsize=8)
 def rotation_permutation(n: int) -> tuple[int, ...]:
-    """sigma with sigma[r] = rank(rotate(unrank(n, r)))."""
-    return tuple(rank(rotate(p)) for p in _basis(n)[0])
+    """sigma[r] = rank(rotate(unrank(n, r))), via new[j] = m[j-1] + 1 mod 2n."""
+    index, succ = _basis(n)[1], (*range(1, 2 * n), 0)
+    return tuple(index[tuple(map(succ.__getitem__, m[-1:] + m[:-1]))] for m in index)
 
 
+@lru_cache(maxsize=8)
 def reflection_permutation(n: int) -> tuple[int, ...]:
-    """sigma with sigma[r] = rank(reflect(unrank(n, r)))."""
-    return tuple(rank(reflect(p)) for p in _basis(n)[0])
+    """sigma[r] = rank(reflect(unrank(n, r))), via new[j] = 2n-1 - m[2n-1-j]."""
+    index, mirror = _basis(n)[1], tuple(range(2 * n - 1, -1, -1))
+    return tuple(index[tuple(map(mirror.__getitem__, m[::-1]))] for m in index)
 
 
 @lru_cache(maxsize=8)
 def hop_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """hop[r][i-1] = rank(apply_h(i, unrank(n, r))), by rewiring raw match tuples.
+    """hop[r][i-1] = rank(apply_h(i, unrank(n, r))), one rewired row per rotation orbit.
 
-    The basis index lookup is each image's validity check: only
-    noncrossing matchings are keys.
+    Since apply_h(i+1, rotate(p)) = rotate(apply_h(i, p)), i cyclic,
+    the next row of an orbit is the previous one shifted one column and
+    mapped through rotation_permutation; only each orbit's first row is
+    rewired on raw match tuples and looked up in the basis index.
     """
     entries = catalan(n) * 2 * n
     if entries > MAX_HOP_TABLE:
@@ -312,6 +324,14 @@ def hop_table(n: int) -> tuple[tuple[int, ...], ...]:
         )
     basis = enumerate_patterns(n)  # before _basis: its span times the build
     index = _basis(n)[1]
-    return tuple(
-        tuple(index[_rewire(p.match, a)] for a in range(2 * n)) for p in basis
-    )
+    rot = rotation_permutation(n)
+    rows: list = [None] * len(basis)
+    for first, p in enumerate(basis):
+        if rows[first] is not None:
+            continue
+        r, row = first, tuple(index[_rewire(p.match, a)] for a in range(2 * n))
+        while rows[r] is None:
+            rows[r] = row
+            r = rot[r]
+            row = tuple(map(rot.__getitem__, row[-1:] + row[:-1]))
+    return tuple(rows)

@@ -82,9 +82,9 @@ class SplitMix64:
         return _mix(self.state, _MASK64)
 
     def randbelow(self, k: int) -> int:
-        """Uniform draw from range(k), unbiased via rejection."""
-        if k <= 0:
-            raise ValueError("k must be positive")
+        """Uniform draw from range(k), 1 <= k <= 2**64, unbiased via rejection."""
+        if not 0 < k <= 1 << 64:
+            raise ValueError("k must be in 1..2**64")
         limit = (1 << 64) - ((1 << 64) % k)
         while True:
             u = self.next_u64()
@@ -99,8 +99,8 @@ class SplitMix64:
         are dropped and the shortfall comes from a further block, so the
         draws and the final state match the scalar calls exactly.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
+        if not 0 < k <= 1 << 64:
+            raise ValueError("k must be in 1..2**64")
         limit = (1 << 64) - ((1 << 64) % k)
         out: list[int] = []
         while len(out) < count:

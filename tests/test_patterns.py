@@ -84,7 +84,7 @@ def test_capacity_ceiling():
 
 
 def test_hop_table_matches_apply_h():
-    for n in range(1, 8):
+    for n in range(1, 9):
         hop = pat.hop_table(n)
         assert len(hop) == pat.catalan(n)
         for r, row in enumerate(hop):
@@ -92,6 +92,47 @@ def test_hop_table_matches_apply_h():
             assert row == tuple(
                 pat.rank(apply_h(i, q)) for i in range(1, 2 * n + 1)
             )
+
+
+# sha256 of the hop table as space-separated rows and of the symmetry
+# permutations as one space-separated line, pinned from the table built
+# by rewiring every entry and the permutations built through rotate and
+# reflect
+HOP_SHA256 = {
+    9: "8b8005a5902fee7f7442aaaf648857a4a9329142314c0099dbe07df6e3260d8b",
+    10: "f33e734462df2fbb31ea3d4e5414cf343cd3f0c07fe5c7e325cdf558323685b2",
+}
+PERMUTATION_SHA256_N10 = {
+    "rotation": "53cae9922a4d91c98e4994b41c9bb347621c7a6419a9d7e7968ebaf3b8ab00fd",
+    "reflection": "494c9c913c2b8ccc932d5ca0c13d7f462cc247232498efd9878e8c6952ce962f",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(HOP_SHA256))
+def test_hop_table_pinned(n):
+    hop = pat.hop_table(n)
+    text = "\n".join(" ".join(map(str, row)) for row in hop) + "\n"
+    assert _sha256(text) == HOP_SHA256[n]
+
+
+def test_symmetry_permutations_pinned():
+    for name, sigma in (("rotation", pat.rotation_permutation(10)),
+                        ("reflection", pat.reflection_permutation(10))):
+        text = " ".join(map(str, sigma)) + "\n"
+        assert _sha256(text) == PERMUTATION_SHA256_N10[name], name
+
+
+def test_symmetry_permutations_match_rotate_and_reflect():
+    for n in range(1, 9):
+        basis = pat.enumerate_patterns(n)
+        assert pat.rotation_permutation(n) == tuple(
+            pat.rank(pat.rotate(p)) for p in basis)
+        assert pat.reflection_permutation(n) == tuple(
+            pat.rank(pat.reflect(p)) for p in basis)
 
 
 def test_apply_h_identity_and_rewiring():

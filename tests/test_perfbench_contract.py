@@ -60,3 +60,6 @@ def test_tracer_sees_the_verify_layers(tmp_path):
     radius = spans(trace, "spectra.spectral_radius_check")
     assert radius and "iterations" in radius[0]
     assert "patterns.apply_h" in trace["counts"]
+    # run.py sums these two spans into patterns.symmetry_perms_s
+    assert spans(trace, "patterns.rotation_permutation")
+    assert spans(trace, "patterns.reflection_permutation")

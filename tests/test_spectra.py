@@ -451,6 +451,39 @@ def test_misjoined_row_fails_a_named_check(monkeypatch, n):
     assert hits
 
 
+def _clear_pattern_tables():
+    for table in (patterns.hop_table, patterns.rotation_permutation,
+                  patterns.reflection_permutation):
+        table.cache_clear()
+
+
+@pytest.fixture
+def wrap_column_left_unrewired(monkeypatch):
+    # h_{2n} joins the last position with the first; leaving that column
+    # unchanged corrupts every rotation orbit's first row, and the orbit
+    # derivation carries the fault into every row
+    real = patterns._rewire
+    monkeypatch.setattr(patterns, "_rewire",
+                        lambda m, a: m if a == len(m) - 1 else real(m, a))
+    _clear_pattern_tables()
+    yield
+    monkeypatch.undo()
+    _clear_pattern_tables()
+
+
+@pytest.mark.parametrize("n, expected", [
+    (3, {"census-equals-eigenvector", "operator-symmetry"}),
+    (4, {"census-equals-eigenvector", "operator-symmetry"}),
+    (5, {"perron-extraction"}),
+])
+def test_unrewired_wrap_column_fails_named_checks(wrap_column_left_unrewired,
+                                                  n, expected):
+    rep = spectra.verify_conjecture(n)  # must not raise
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert expected <= failed, failed
+    assert not rep.passed
+
+
 @pytest.mark.slow
 def test_verify_conjecture_n7():
     rep = spectra.verify_conjecture(7)

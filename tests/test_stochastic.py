@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,29 @@ def test_randbelow_many_rejects_empty_range():
     for k in (0, -3):
         with pytest.raises(ValueError):
             SplitMix64(0).randbelow_many(k, 5)
+
+
+def test_randbelow_range_above_two_to_the_64_is_refused():
+    # run in a child: a rejection loop that never ends fails on the
+    # timeout instead of hanging the suite
+    script = """
+import pytest
+from loopmodel.stochastic import SplitMix64
+for k in (2**64 + 1, 2**65):
+    with pytest.raises(ValueError):
+        SplitMix64(0).randbelow(k)
+    with pytest.raises(ValueError):
+        SplitMix64(0).randbelow_many(k, 3)
+r, ref = SplitMix64(5), SplitMix64(5)
+assert r.randbelow(2**64) == ref.next_u64()
+assert r.randbelow_many(2**64, 3) == [ref.next_u64() for _ in range(3)]
+assert r.state == ref.state
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_player_a_matches_census_share():
