@@ -41,36 +41,51 @@ vertical edge crossing the sweep line, the far end of its open path
 (another live column or an already-reached numbered stub), plus the set
 of completed stub-stub arcs.  The future of a sweep state depends only
 on (v, linkage); the arcs only ride along.  A level therefore maps
-(v, linkage) to a bucket {arcs: multiplicity}, each (v, linkage) is
-advanced through each row move once, and the arcs that row completes
-are added to every entry of its bucket.  An arcs set is packed into one
-integer: the smaller stub a of each arc holds its partner b in an
-ARC_BITS-wide field at bit ARC_BITS * (a - 1).  A disjoint union is then
-integer addition, and equal sets pack to equal integers without
-sorting.  Rows 1..n run through one loop.  Row n is an ordinary row
-that keeps only the moves to the all-down mask, closes the frontier
-onto the numbered bottom stubs, and keys every result alike, so the
-last level is one bucket {final arcs: multiplicity}; each distinct
-final value is decoded once, checked to be a perfect noncrossing
-matching, and ranked.  Totals are exact integers throughout.  The sweep
-is one pass in one process, since a level split into slices cannot
-merge across them.  `enumerate_states` streams the individual states
-instead and never merges.
+(v, linkage) to a bucket {arcs: multiplicity}, and the arcs a row
+completes are added to every entry of the bucket.  An arcs set is
+packed into one integer: the smaller stub a of each arc holds its
+partner b in an ARC_BITS-wide field at bit ARC_BITS * (a - 1).  A
+disjoint union is then integer addition, and equal sets pack to equal
+integers without sorting.
+
+How a row move rewires a linkage depends only on which slots are
+empty, which column each live slot points to and which slots reach a
+stub, never on the stub numbers.  A level is therefore kept in shape
+groups, a shape being (v, linkage) with every stub token replaced by
+one marker, and each (shape, move) is advanced once, on a linkage whose
+stub at column j carries the placeholder label 2n + 1 + j, above every
+real stub.  That one advance yields the new shape, a gather that builds
+a member's new linkage from its own stubs and the row's constant
+tokens, the new arcs that end on a placeholder, and the packed arcs
+between literal stubs; every member of the group replays it with its
+own stub numbers.  A group is popped and its buckets released once it
+is advanced, so one level shrinks while the next grows.  Rows 1..n run
+through one loop.  Row n is an ordinary row that keeps only the moves
+to the all-down mask, closes each member's real linkage onto the
+numbered bottom stubs, and keys every result alike, so the last level
+is one bucket {final arcs: multiplicity}; each distinct final value is
+decoded once, checked to be a perfect noncrossing matching, and ranked.
+Totals are exact integers throughout.  The sweep is one pass in one
+process, since a level split into slices cannot merge across them.
+`enumerate_states` streams the individual states instead and never
+merges.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from . import patterns as _pat
 from .errors import CapacityError, ConjectureViolation
 from .patterns import LinkPattern
 
 # Refuse full-grid enumeration beyond this n unless overridden.  On a
-# 2-vCPU Xeon VM the bucketed sweep takes about 1.3 s at n = 9 (A_9
-# about 9.1e8 states); `enumerate -n 10` takes 12 s with 94 MB (A_10
-# about 1.3e11) and `enumerate -n 11` 62-73 s with 317 MB.
+# 2-vCPU Xeon VM the shape-grouped sweep takes about 1 s at n = 9 (A_9
+# about 9.1e8 states); `enumerate -n 10` takes 7.6 s with 71 MB (A_10
+# about 1.3e11), `enumerate -n 11` 50-57 s with 230 MB and `enumerate
+# -n 12` 353 s with 1.0 GB.
 DEFAULT_MAX_N = 9
 
 # Shape-mask bits (selected edge directions at an internal vertex).
@@ -194,11 +209,14 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
     horizontal arrow enters at 1, a column may flip only when its bit
     above differs from the arrow entering it (the arrow then takes that
     bit), and the arrow must leave the row at 0.  Every generated row is
-    then checked: _row_shapes must accept it at both parities, and the
-    parity convention must place boundary edges exactly on the numbered
-    stubs: top stubs on odd columns, and the left/right edge selection
-    matching the row parity rule used by the census.  A row that breaks
-    either raises ConjectureViolation, also under python -O.
+    then checked: _row_shapes must accept it, and the parity convention
+    must place boundary edges exactly on the numbered stubs at both
+    parities: top stubs on odd columns, and the left/right edge
+    selection matching the row parity rule used by the census.  A row
+    that breaks either raises ConjectureViolation, also under python -O.
+    _row_shapes runs at odd parity only: flipping the checkerboard
+    parity negates all four bit conditions, so the even-row masks are
+    the odd ones xor 15.
     """
     moves: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = []
     for v in range(1 << n):
@@ -209,12 +227,12 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
         row = []
         for v2 in sorted(w for w, l in partial if l == 0):
             odd = _row_shapes(n, v, v2, 1)
-            even = _row_shapes(n, v, v2, 0)
-            if odd is None or even is None:
+            if odd is None:
                 raise ConjectureViolation(
-                    "a generated row is invalid at some row parity",
+                    "a generated row is invalid",
                     {"n": n, "v": v, "v2": v2}, check="census-sweep",
                 )
+            even = tuple(15 ^ mask for mask in odd)
             for parity, shapes in ((1, odd), (0, even)):
                 # left edge selected iff the row is even; right edge
                 # selected iff n+row is odd; up edges follow v's bits
@@ -598,17 +616,32 @@ def _pattern_rank(n: int, packed: int, rank_of: dict) -> int:
     return rank
 
 
+def _stubs_marked(F) -> tuple:
+    """The frontier's shape: every stub token replaced by the marker -1."""
+    return tuple(-1 if t is not None and t < 0 else t for t in F)
+
+
 def _census(n: int) -> dict[int, int]:
     """Run the bucketed sweep from row 1 to completion.
 
-    A level maps (v, frontier tuple) -> bucket {packed arcs:
-    multiplicity}.  Each (v, frontier, move) is advanced once and its
-    new arcs are added to every entry of the bucket.  Rows 1..n share
-    one loop; row n keeps only the moves to the all-down mask, adds the
-    arcs that close onto the bottom stubs, and keys every result with
-    an empty frontier, so the last level is the single bucket {final
-    arcs: multiplicity}.  Each distinct final value is decoded once.
-    Returns a dict rank -> count over final link patterns.
+    A level maps each frontier shape (v, _stubs_marked(frontier)) to
+    its members {frontier tuple: bucket}, a bucket being {packed arcs:
+    multiplicity}.  How a row move rewires a frontier depends on its
+    shape alone, so each (shape, move) is advanced once by _apply_row,
+    on a frontier whose stub at column j carries the placeholder label
+    2n + 1 + j, above every real stub.  That advance yields the new
+    shape, a gather that builds a member's new frontier from its own
+    tokens and the row's constant ones, the arcs that end on a
+    placeholder as index pairs, and the packed arcs between literal
+    stubs; every member replays it with its own stub numbers and adds
+    its new arcs to every entry of its bucket.  Each shape group is
+    popped and released once advanced, so level r shrinks while level
+    r + 1 grows.  Rows 1..n share one loop; row n keeps only the moves
+    to the all-down mask, closes each member's real frontier onto the
+    bottom stubs, and keys every result with an empty frontier, so the
+    last level is the single bucket {final arcs: multiplicity}.  Each
+    distinct final value is decoded once.  Returns a dict rank -> count
+    over final link patterns.
     """
     if 2 * n >= 1 << ARC_BITS:
         raise CapacityError(
@@ -617,37 +650,73 @@ def _census(n: int) -> dict[int, int]:
         )
     moves = _row_moves(n)
     full = (1 << n) - 1
-    level: dict = {(0, _initial_frontier(n)): {0: 1}}
+    top = 2 * n
+    # arc[a][b]: packed value of the arc joining stubs a and b
+    arc = [[0] * (top + 1) for _ in range(top + 1)]
+    for a in range(1, top + 1):
+        for b in range(a + 1, top + 1):
+            arc[a][b] = arc[b][a] = _pack(((a, b),))
+    F0 = _initial_frontier(n)
+    level: dict = {(0, _stubs_marked(F0)): {F0: {0: 1}}}
     for r in range(1, n + 1):
         parity, last = r & 1, r == n
         left, right = _row_tokens(n, r)
+        # every token a new frontier can hold besides the members' own
+        # stubs; a member is replayed on X = its frontier + tail
+        tail = (None, *range(n + 1), *(() if left is None else (left,)),
+                *(() if right is None else (-right,)))
+        at = {t: n + i for i, t in enumerate(tail)}  # token -> index in X
         nxt: dict = {}
-        for (v, Ft), bucket in level.items():
+        while level:
+            (v, Fs), members = level.popitem()
+            members = [(Ft + tail, bucket) for Ft, bucket in members.items()]
+            # the stub at column j becomes the placeholder -(2n + 1 + j)
+            Fp = [-top - 1 - j if t == -1 else t for j, t in enumerate(Fs)]
             for v2, odd, even in moves[v]:
                 if last and v2 != full:
                     continue
-                F = list(Ft)
+                F = list(Fp)
                 new: list[tuple[int, int]] = []
                 _apply_row(F, odd if parity else even, left, right, new)
-                if last:
-                    new += _bottom_arcs(n, F)
-                    F = []
-                add = _pack(new) if new else 0
-                key = (v2, tuple(F))
-                target = nxt.get(key)
-                if target is None:
-                    nxt[key] = ({p + add: m for p, m in bucket.items()}
-                                if add else bucket.copy())
-                else:
-                    get = target.get
-                    for p, m in bucket.items():
-                        p += add
-                        target[p] = get(p, 0) + m
+                lit = 0  # packed arcs between literal stubs
+                links = []  # arcs ending on a placeholder, as X indices
+                for a, b in new:
+                    if b <= top:
+                        lit += arc[a][b]
+                    else:
+                        links.append((b - top - 1, at[-a] if a <= top
+                                      else a - top - 1))
+                idx = [at[t] if t is None or t >= -top else -t - top - 1
+                       for t in F]
+                # itemgetter of a single index returns the item itself
+                gather = (itemgetter(*idx) if n > 1
+                          else lambda X, i=idx[0]: (X[i],))
+                shape = (full, ()) if last else (v2, _stubs_marked(F))
+                group = nxt.get(shape)
+                if group is None:
+                    group = nxt[shape] = {}
+                for X, bucket in members:
+                    add = lit
+                    for i, j in links:
+                        add += arc[-X[i]][-X[j]]
+                    F2 = gather(X)
+                    if last:
+                        add += _pack(_bottom_arcs(n, F2))
+                        F2 = ()
+                    target = group.get(F2)
+                    if target is None:
+                        group[F2] = ({p + add: m for p, m in bucket.items()}
+                                     if add else bucket.copy())
+                    else:
+                        get = target.get
+                        for p, m in bucket.items():
+                            p += add
+                            target[p] = get(p, 0) + m
         level = nxt
 
     _, rank_of = _pat._basis(n)
     counts: dict[int, int] = {}
-    for packed, mult in level.get((full, ()), {}).items():
+    for packed, mult in level.get((full, ()), {}).get((), {}).items():
         rank = _pattern_rank(n, packed, rank_of)
         counts[rank] = counts.get(rank, 0) + mult
     return counts

@@ -21,6 +21,7 @@ bit-identical to calling the scalar generator once per move.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -287,6 +288,8 @@ def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
         raise ValueError("burn_in must be nonnegative")
     if chains <= 0:
         raise ValueError("chains must be positive")
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be a finite positive number")
     dim = _pat.catalan(n)
     counts = [0] * dim
     per = [samples // chains] * chains

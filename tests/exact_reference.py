@@ -1,15 +1,53 @@
-"""Exact reference for the spectral tests: dense rows and fraction-free
-elimination, independent of the Perron–Frobenius certificate.
+"""Exact references for the tests.
 
-Quadratic fill makes these small-dimension tools; the tests compare
-the certified eigenvector with them for n up to 5.
+Dense rows and fraction-free elimination, independent of the
+Perron–Frobenius certificate: quadratic fill makes these
+small-dimension tools, and the tests compare the certified eigenvector
+with them for n up to 5.
+
+The per-key census sweep advances every (v, frontier) key through every
+row move on its own, with no shape groups; the tests compare the
+grouped sweep with it for n up to 8.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
+from loopmodel import fpl, patterns
 from loopmodel.errors import ConjectureViolation
+
+
+def census_per_key(n: int) -> dict[int, int]:
+    """rank -> count by one fpl._apply_row call per (v, frontier, move)."""
+    moves = fpl._row_moves(n)
+    full = (1 << n) - 1
+    level: dict = {(0, fpl._initial_frontier(n)): {0: 1}}
+    for r in range(1, n + 1):
+        parity, last = r & 1, r == n
+        left, right = fpl._row_tokens(n, r)
+        nxt: dict = {}
+        for (v, Ft), bucket in level.items():
+            for v2, odd, even in moves[v]:
+                if last and v2 != full:
+                    continue
+                F = list(Ft)
+                new: list[tuple[int, int]] = []
+                fpl._apply_row(F, odd if parity else even, left, right, new)
+                if last:
+                    new += fpl._bottom_arcs(n, F)
+                    F = []
+                add = fpl._pack(new)
+                target = nxt.setdefault((v2, tuple(F)), {})
+                for p, m in bucket.items():
+                    target[p + add] = target.get(p + add, 0) + m
+        level = nxt
+    rank_of = patterns._basis(n)[1]
+    counts: dict[int, int] = {}
+    for packed, mult in level.get((full, ()), {}).items():
+        rank = fpl._pattern_rank(n, packed, rank_of)
+        counts[rank] = counts.get(rank, 0) + mult
+    return counts
 
 
 def dense_rows(H, shift: int = 0) -> list[list[int]]:

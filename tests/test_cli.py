@@ -268,6 +268,16 @@ def test_sample_honours_max_n(cache, monkeypatch, capsys):
     assert run(["sample", "-n", "4", "--samples", "1000"]) == cli.EXIT_CAPACITY
 
 
+def test_sample_negative_tolerance_is_an_argument_error(cache, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert run(["sample", "-n", "3", "--samples", "10", "--tolerance", "-1",
+                "--out", str(out)]) == cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    assert "error: tolerance" in captured.err
+    assert "FAIL" not in captured.out
+    assert not out.exists()
+
+
 def test_sample_chains_and_ignored_workers(cache, tmp_path):
     args = ["sample", "-n", "4", "--seed", "7", "--samples", "3000",
             "--burn-in", "20", "--no-compare", "--out"]
@@ -324,6 +334,15 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     # render must not pay for importing it
     code = "import sys, loopmodel, loopmodel.cli"
     assert _numpy_loaded_after(code, tmp_path) == "False"
+
+
+def test_enumerate_leaves_numpy_unloaded(tmp_path):
+    # the census itself, not only the import, runs without numpy
+    out = tmp_path / "h5.csv"
+    code = ("import sys, loopmodel.cli\n"
+            f"loopmodel.cli.main(['enumerate', '-n', '5', '--out', {str(out)!r}])")
+    assert _numpy_loaded_after(code, tmp_path) == "False"
+    assert out.read_text().startswith("rank,match_array,count")
 
 
 def test_sample_leaves_numpy_unloaded(tmp_path):

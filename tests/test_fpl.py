@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from exact_reference import census_per_key
 from loopmodel import fpl, patterns, render
 from loopmodel.errors import CapacityError, ConjectureViolation
 
@@ -172,6 +174,68 @@ def test_census_matches_per_state_enumeration():
             r = patterns.rank(fpl.link_pattern_of(st))
             tally[r] = tally.get(r, 0) + 1
         assert fpl.histogram(n).counts == tally
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_census_matches_per_key_sweep(n):
+    # the per-key sweep advances every frontier on its own, so equal
+    # counts show that replaying a shape group's advance is exact
+    assert fpl._census(n) == census_per_key(n)
+
+
+def test_census_advances_each_shape_once(monkeypatch):
+    # one advance per (row, frontier shape, move) instead of one per
+    # (row, frontier, move): 3,090 against 10,156 at n = 7
+    calls = []
+    real = fpl._apply_row
+
+    def counted(*args):
+        calls.append(1)
+        real(*args)
+
+    monkeypatch.setattr(fpl, "_apply_row", counted)
+    fpl._census(7)
+    shape_advances = len(calls)
+    calls.clear()
+    census_per_key(7)
+    assert (shape_advances, len(calls)) == (3090, 10156)
+
+
+def _stub_numbers_named(exc):
+    """Every integer in the message and every packed arc field."""
+    named = [int(k) for k in re.findall(r"\d+", str(exc))]
+    packed = exc.details.get("packed_arcs", 0)
+    while packed:
+        named.append(packed & ((1 << fpl.ARC_BITS) - 1))
+        packed >>= fpl.ARC_BITS
+    return named
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_sweep_fault_names_real_stubs(monkeypatch, n):
+    # the shape path labels stubs above 2n while it advances a group; a
+    # fault it reports must still name the members' own stubs
+    real = fpl._apply_row
+
+    def drop_last_arc(F, shapes, pend, right_stub, new_arcs):
+        real(F, shapes, pend, right_stub, new_arcs)
+        if new_arcs:
+            new_arcs.pop()
+
+    monkeypatch.setattr(fpl, "_apply_row", drop_last_arc)
+    with pytest.raises(ConjectureViolation) as info:
+        fpl._census(n)
+    assert info.value.check == "census-sweep"
+    assert "cover every stub" in str(info.value)
+    assert all(k <= 2 * n for k in _stub_numbers_named(info.value))
+
+    monkeypatch.setattr(fpl, "_apply_row", real)
+    real_tokens = fpl._row_tokens
+    monkeypatch.setattr(fpl, "_row_tokens", lambda n, r: (
+        real_tokens(n, r)[0], real_tokens(n, r)[1] or 2 * n))
+    with pytest.raises(ConjectureViolation,
+                       match=f"numbered right stub {2 * n} catches no path end"):
+        fpl._census(n)
 
 
 @pytest.mark.slow

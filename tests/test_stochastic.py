@@ -219,6 +219,15 @@ def test_sampler_argument_validation():
         st.sample_stationary(2, chains=0)
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("nan"), float("inf")],
+                         ids=["negative", "zero", "nan", "inf"])
+def test_sampler_rejects_a_tolerance_that_is_not_finite_positive(tolerance):
+    # such a bound could never be passed (or never failed), so it is an
+    # argument error rather than a FAIL report
+    with pytest.raises(ValueError, match="tolerance"):
+        st.sample_stationary(2, samples=10, tolerance=tolerance)
+
+
 def test_sampler_report_json():
     rep = st.sample_stationary(2, burn_in=10, samples=1000, seed=3)
     obj = rep.to_json_obj()
