@@ -202,7 +202,7 @@ def cmd_sample(args) -> int:
         samples=args.samples,
         seed=args.seed,
         chains=args.chains,
-        law=_st.stationary_law(args.n, max_n=args.max_n) if compare else None,
+        max_n=args.max_n,
         compare=compare,
         tolerance=args.tolerance,
     )

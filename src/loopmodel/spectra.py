@@ -4,7 +4,9 @@ For each of the 2n cyclic positions there is an elementary rewiring
 operator (see :func:`loopmodel.patterns.apply_h`).  Summing all 2n of
 them as 0/1 transition matrices over the canonical pattern basis gives
 an integer matrix H with every column summing to 2n and diagonal
-entries counting cyclically adjacent chords.
+entries counting cyclically adjacent chords.  H is held as the hop
+table (:func:`loopmodel.patterns.hop_table`): column c lists the image
+of pattern c under each operator, so every entry, a count, is >= 0.
 
 ``perron_vector`` returns the eigenvector of H at eigenvalue 2n as
 exact integers, positive and coprime, and proves it by the
@@ -30,9 +32,11 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 
 from . import fpl as _fpl
 from . import patterns as _pat
@@ -49,31 +53,42 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class SparseIntMatrix:
-    """Column-built sparse integer matrix over the pattern basis."""
+    """Integer matrix over the pattern basis, held as a hop table.
+
+    columns[c] lists one row per operator applied to pattern c, and
+    entry (r, c) is the number of times r occurs there.  ``entries``,
+    the (r, c) -> value dict, is built on each read, for the exports.
+    """
 
     n: int
-    dim: int
-    entries: dict[tuple[int, int], int]
+    columns: Sequence[Sequence[int]]
+
+    @property
+    def dim(self) -> int:
+        return len(self.columns)
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        pairs = ((r, c) for c, col in enumerate(self.columns) for r in col)
+        return dict(Counter(pairs))
 
     def get(self, r: int, c: int) -> int:
-        return self.entries.get((r, c), 0)
+        return self.columns[c].count(r)
 
     def column_sums(self) -> list[int]:
-        sums = [0] * self.dim
-        for (_, c), v in self.entries.items():
-            sums[c] += v
-        return sums
+        return [len(col) for col in self.columns]
 
     def diagonal(self) -> list[int]:
-        return [self.entries.get((i, i), 0) for i in range(self.dim)]
+        return [col.count(c) for c, col in enumerate(self.columns)]
 
     def matvec(self, x: list[int]) -> list[int]:
         """Exact big-integer matrix-vector product."""
         if len(x) != self.dim:
             raise ValueError(f"vector length {len(x)} != dim {self.dim}")
         y = [0] * self.dim
-        for (r, c), v in self.entries.items():
-            y[r] += v * x[c]
+        for col, xc in zip(self.columns, x):
+            for r in col:
+                y[r] += xc
         return y
 
     def to_coo_text(self) -> str:
@@ -131,17 +146,11 @@ class BigIntVector:
 def build_hamiltonian(n: int) -> SparseIntMatrix:
     """Sum the 2n rewiring operators as 0/1 matrices over the basis.
 
-    Entry (r, c) counts the operator indices sending pattern c to
-    pattern r; every column sums to 2n by construction.  Entries go in
-    column by column, then by operator index (hop-table order).
+    The sum is the hop table itself: column c lists the image of
+    pattern c under each operator, so entry (r, c) counts the operator
+    indices sending c to r, and every column sums to 2n.
     """
-    hop = _pat.hop_table(n)
-    entries: dict[tuple[int, int], int] = {}
-    for c, row in enumerate(hop):
-        for r in row:
-            key = (r, c)
-            entries[key] = entries.get(key, 0) + 1
-    return SparseIntMatrix(n, len(hop), entries)
+    return SparseIntMatrix(n, _pat.hop_table(n))
 
 
 # -- Perron-Frobenius certificate ------------------------------------------
@@ -178,11 +187,12 @@ def certify_perron(H: SparseIntMatrix, v: Iterable[int]) -> BigIntVector:
     """Prove that v is the coprime positive eigenvector of H at 2n.
 
     Checks in exact integers, in this order: H v = 2n v, every
-    component positive, gcd 1, and H nonnegative with a strongly
-    connected graph of nonzero entries.  By Perron–Frobenius (see the
-    module docstring) these make 2n the simple top eigenvalue of H and
-    v the one coprime positive vector spanning its eigenspace.  The
-    first failed check raises ConjectureViolation with a details dict.
+    component positive, gcd 1, and a strongly connected graph of
+    nonzero entries; H is nonnegative by construction, its entries
+    being counts.  By Perron–Frobenius (see the module docstring) these
+    make 2n the simple top eigenvalue of H and v the one coprime
+    positive vector spanning its eigenspace.  The first failed check
+    raises ConjectureViolation with a details dict.
     """
     two_n = 2 * H.n
     ints = [int(c) for c in v]
@@ -204,17 +214,7 @@ def certify_perron(H: SparseIntMatrix, v: Iterable[int]) -> BigIntVector:
         raise ConjectureViolation(
             "eigenvector at 2n is not coprime", {"gcd": g}
         )
-    negative = next((rc for rc, a in H.entries.items() if a < 0), None)
-    if negative is not None:
-        raise ConjectureViolation(
-            "matrix has a negative entry; Perron-Frobenius does not apply",
-            {"entry": list(negative), "value": H.entries[negative]},
-        )
-    adj: list[list[int]] = [[] for _ in range(H.dim)]
-    for (r, c), a in H.entries.items():
-        if a:
-            adj[c].append(r)
-    if not strongly_connected(adj):
+    if not strongly_connected(H.columns):
         raise ConjectureViolation(
             "matrix is reducible; the eigenvalue 2n need not be simple",
             {"dim": H.dim},
@@ -229,23 +229,28 @@ def _perron_candidate(H: SparseIntMatrix) -> tuple[list[int], int]:
     which is right when the coprime vector has smallest component 1, as
     the census does (some pattern has a single state).
     Power iteration from the all-ones start, each iterate scaled to
-    maximum 1, applies H as one bincount over arrays built once from
-    H.entries.  H times an integer vector below 2**53 is exact in
-    float64, so the loop stops at the first rounded guess with
-    H v = 2n v, or once the iterate stops changing and no better guess
-    will come.  If that guess fails, each ratio to the minimum is read
-    as a fraction with denominator at most 2**20, and the guess is
-    those fractions over their common denominator, divided by their
-    gcd.  Past 2**53 a float no longer holds every integer, so a
-    smaller minimum gives the rounded iterate itself, and the
-    certificate judges that.  numpy is imported here, its only use, so
-    the commands that never need a candidate do not load it.
+    maximum 1, applies H as one bincount over its distinct (c, r)
+    entries, sorted, each weighted by its count times the iterate at c,
+    so each row adds one rounded term per entry, in column order.  H
+    times an integer vector below 2**53 is exact in float64, so the loop
+    stops at the first rounded guess with H v = 2n v, or once the
+    iterate stops changing and no better guess will come.  If that guess
+    fails, each ratio to the minimum is read as a fraction with
+    denominator at most 2**20, and the guess is those fractions over
+    their common denominator, divided by their gcd.  Past 2**53 a float
+    no longer holds every integer, so a smaller minimum gives the
+    rounded iterate itself, and the certificate judges that.  numpy is
+    imported here, its only use, so the commands that never need a
+    candidate do not load it.
     """
     import numpy as np
 
-    keys = np.array(list(H.entries), dtype=np.int64).reshape(-1, 2)
-    vals = np.fromiter(H.entries.values(), dtype=np.float64, count=len(H.entries))
-    rows, cols = keys[:, 0], keys[:, 1]
+    keys = np.repeat(np.arange(H.dim, dtype=np.int64) * H.dim,
+                     [len(col) for col in H.columns])
+    keys += np.fromiter(chain.from_iterable(H.columns), np.int64, keys.size)
+    keys, counts = np.unique(keys, return_counts=True)  # c * dim + r, sorted
+    cols, rows = np.divmod(keys, H.dim)
+    vals = counts.astype(np.float64)
 
     def apply(x):
         return np.bincount(rows, weights=vals * x[cols], minlength=H.dim)
@@ -288,29 +293,24 @@ class SpectralCheck:
     """Exact facts that fix the spectral radius of H at 2n."""
 
     column_sums_ok: bool
-    nonnegative: bool
     iterations: int
 
     @property
     def passed(self) -> bool:
-        return self.column_sums_ok and self.nonnegative
+        return self.column_sums_ok
 
 
 def spectral_radius_check(H: SparseIntMatrix, psi: BigIntVector) -> SpectralCheck:
-    """Whether H >= 0 with every column summing to 2n, in exact integers.
+    """Whether every column of H sums to 2n, in exact integers.
 
     A nonnegative matrix's spectral radius lies between its smallest
-    and largest column sums, so these two facts make rho(H) = 2n
-    exactly; the certified psi, a positive eigenvector at 2n of an
-    irreducible H, makes 2n simple.  iterations records the power
+    and largest column sums, and H >= 0 by construction, so this makes
+    rho(H) = 2n exactly; the certified psi, a positive eigenvector at
+    2n of an irreducible H, makes 2n simple.  iterations records the power
     iteration steps of psi's candidate; no float enters the verdict.
     """
     two_n = 2 * H.n
-    return SpectralCheck(
-        all(s == two_n for s in H.column_sums()),
-        all(a >= 0 for a in H.entries.values()),
-        psi.steps,
-    )
+    return SpectralCheck(all(s == two_n for s in H.column_sums()), psi.steps)
 
 
 # -- census-side identities ----------------------------------------------
@@ -338,15 +338,9 @@ def preimage_sums_all(n: int, hist: _fpl.PatternHistogram) -> list[int]:
     """preimage_sum for every pattern at once, by source-major sweep.
 
     Same double sum as preimage_sum, grouped by image instead of
-    rescanning the basis per target, read off the hop table.
+    rescanning the basis per target: H times the census vector.
     """
-    hop = _pat.hop_table(n)
-    acc = [0] * len(hop)
-    for q, row in enumerate(hop):
-        cq = hist.count(q)
-        for r in row:
-            acc[r] += cq
-    return acc
+    return SparseIntMatrix(n, _pat.hop_table(n)).matvec(hist.as_vector())
 
 
 # -- verification driver ---------------------------------------------------
@@ -413,7 +407,7 @@ def verify_conjecture(n: int, max_n: int | None = None) -> VerificationReport:
     t0 = time.perf_counter()
     report = VerificationReport(n)
 
-    _pat.hop_table(n)  # a CapacityError comes before any census work
+    H = build_hamiltonian(n)  # a CapacityError comes before any census work
     try:
         hist = _fpl.histogram(n, max_n=max_n)
     except ConjectureViolation as exc:  # census-sweep or census-total
@@ -435,7 +429,6 @@ def verify_conjecture(n: int, max_n: int | None = None) -> VerificationReport:
         f"{len(missing)} patterns with no state" if missing else "every pattern realized",
     )
 
-    H = build_hamiltonian(n)
     try:
         psi = perron_vector(H)
         report.add("perron-extraction", True, "kernel certified one-dimensional")
@@ -495,12 +488,12 @@ def verify_conjecture(n: int, max_n: int | None = None) -> VerificationReport:
         f"rotation {'ok' if rot_ok else 'BROKEN'}, reflection {'ok' if refl_ok else 'BROKEN'}",
     )
 
-    sym_ok = True
-    for sigma in (rot, refl):
-        permuted = {(sigma[r], sigma[c]): v for (r, c), v in H.entries.items()}
-        if permuted != H.entries:
-            sym_ok = False
-            break
+    # H commutes with sigma iff column sigma(c) holds sigma of column c's rows
+    sym_ok = all(
+        sorted(map(sigma.__getitem__, col)) == sorted(H.columns[sigma[c]])
+        for sigma in (rot, refl)
+        for c, col in enumerate(H.columns)
+    )
     report.add(
         "operator-symmetry",
         sym_ok,
@@ -512,7 +505,7 @@ def verify_conjecture(n: int, max_n: int | None = None) -> VerificationReport:
         "spectral-radius",
         sc.passed,
         f"column sums {'= 2n' if sc.column_sums_ok else 'BROKEN'}, "
-        f"entries {'nonnegative' if sc.nonnegative else 'NEGATIVE'}; "
+        "entries nonnegative; "
         f"power-iteration steps of the candidate: {sc.iterations}",
     )
 

@@ -270,7 +270,7 @@ def default_tv_tolerance(n: int, samples: int) -> float:
 
 def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
                       seed: int = 0, chains: int = 1,
-                      law: PatternDistribution | None = None,
+                      max_n: int | None = None,
                       compare: bool = True,
                       tolerance: float | None = None) -> SamplerReport:
     """Run the chain and compare empirical frequencies to the exact law.
@@ -280,7 +280,8 @@ def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
     chains (derived deterministically from the master seed) and the
     counts merged by addition; the result depends only on the
     arguments, never on scheduling.  Set compare=False to skip the
-    census and report frequencies alone.
+    census and report frequencies alone.  The arguments and the hop
+    table's ceiling are checked before the census (with ceiling max_n).
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -290,6 +291,8 @@ def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
         raise ValueError("chains must be positive")
     if tolerance is not None and not 0 < tolerance < math.inf:
         raise ValueError("tolerance must be a finite positive number")
+    _pat.hop_table(n)  # a CapacityError comes before any census work
+    exact = stationary_law(n, max_n=max_n) if compare else None
     dim = _pat.catalan(n)
     counts = [0] * dim
     per = [samples // chains] * chains
@@ -304,8 +307,7 @@ def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
     tol = default_tv_tolerance(n, samples) if tolerance is None else tolerance
     tv = None
     passed = None
-    if compare:
-        exact = stationary_law(n) if law is None else law
+    if exact is not None:
         emp = PatternDistribution(
             n, {r: Fraction(c, samples) for r, c in enumerate(counts) if c}
         )

@@ -278,6 +278,37 @@ def test_sample_negative_tolerance_is_an_argument_error(cache, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [["--tolerance", "-1"], ["--samples", "0"]],
+                         ids=["tolerance", "samples"])
+def test_sample_argument_error_comes_before_the_census(cache, monkeypatch,
+                                                       capsys, bad):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census ran before the arguments were checked")
+
+    monkeypatch.setattr(fpl, "histogram", no_census)
+    assert run(["sample", "-n", "9", "--samples", "10", *bad]) == cli.EXIT_FAIL
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sample_refuses_over_hop_table_before_census(cache, monkeypatch, capsys):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census ran before the capacity check")
+
+    monkeypatch.setattr(fpl, "histogram", no_census)
+    argv = ["sample", "-n", "11", "--max-n", "11", "--samples", "10"]
+    assert run(argv) == cli.EXIT_CAPACITY
+    assert "MAX_HOP_TABLE" in capsys.readouterr().err
+
+
+def test_verify_path_never_builds_the_entry_dict(cache, monkeypatch, capsys):
+    def no_dict(self):
+        raise AssertionError("the (r, c) entry dict was built")
+
+    monkeypatch.setattr(spectra.SparseIntMatrix, "entries", property(no_dict))
+    assert spectra.verify_conjecture(6).passed
+    assert run(["groundstate", "-n", "6", "--out", "-"]) == cli.EXIT_OK
+
+
 def test_sample_chains_and_ignored_workers(cache, tmp_path):
     args = ["sample", "-n", "4", "--seed", "7", "--samples", "3000",
             "--burn-in", "20", "--no-compare", "--out"]
