@@ -13,6 +13,11 @@ cached census is used only when its n, its total A_n and its ranks fit
 the request, and a cached eigenvector only after it passes the same
 certificate as a fresh one.
 
+Every subcommand that takes ``-n`` refuses n above one size ceiling,
+``loopmodel.patterns.MAX_N``, before any census or operator work, and
+its ``--max-n`` lifts that ceiling.  ``verify`` also asks for
+``--long`` from n = LONG_GATE_N up.
+
 Exit status: 0 on success, 1 when a requested check fails, 2 on a
 capacity refusal (the message names the ceiling and how to raise it).
 """
@@ -116,7 +121,12 @@ def _cached_histogram(n: int) -> _fpl.PatternHistogram | None:
 
 
 def _histogram(args) -> _fpl.PatternHistogram:
-    """Census via cache unless disabled; stores fresh results."""
+    """Census via cache unless disabled; stores fresh results.
+
+    n is checked against the ceiling first, so a cached census never
+    lets a refused n through.
+    """
+    _pat.check_n(args.n, args.max_n)
     if not args.no_cache:
         hist = _cached_histogram(args.n)
         if hist is not None:
@@ -147,7 +157,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_groundstate(args) -> int:
-    H = _spec.build_hamiltonian(args.n)
+    H = _spec.build_hamiltonian(args.n, max_n=args.max_n)
     psi = None
     if not args.no_cache:
         payload = cache_load(args.n, "vector")
@@ -273,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def max_n(p):
         p.add_argument("--max-n", type=int, default=None,
-                       help="raise the enumeration size ceiling")
+                       help=f"raise the size ceiling (default {_pat.MAX_N})")
 
     p = sub.add_parser("enumerate", help="census of states per link pattern")
     common(p)
@@ -285,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("groundstate", help="exact top eigenvector of the operator sum")
     common(p)
     no_cache(p)
+    max_n(p)
     p.add_argument("--format", choices=("csv", "json", "text"), default="json")
     p.add_argument("--with-matrix", action="store_true",
                    help="also write the matrix in coordinate text form")
@@ -317,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="draw a state (ASCII) or pattern (SVG)")
     p.add_argument("-n", type=int, default=None, help="grid size for --index")
     ignored_workers(p)
-    p.add_argument("--max-n", type=int, default=None, help=argparse.SUPPRESS)
+    max_n(p)
     p.add_argument("--index", type=int, default=0,
                    help="state index in enumeration order (default 0)")
     p.add_argument("--pattern", default=None,

@@ -6,8 +6,8 @@ class CapacityError(RuntimeError):
     """A requested size exceeds a configured capacity ceiling.
 
     Raised instead of silently attempting runs whose time or memory cost
-    would be astronomical.  The message always names the ceiling and the
-    override knob, so the caller can raise the ceiling deliberately.
+    would be astronomical.  The message names the ceiling and, where one
+    exists, the override knob, so the caller can raise it deliberately.
     """
 
 

@@ -81,13 +81,6 @@ from . import patterns as _pat
 from .errors import CapacityError, ConjectureViolation
 from .patterns import LinkPattern
 
-# Refuse full-grid enumeration beyond this n unless overridden.  On a
-# 2-vCPU Xeon VM the shape-grouped sweep takes about 1 s at n = 9 (A_9
-# about 9.1e8 states); `enumerate -n 10` takes 7.6 s with 71 MB (A_10
-# about 1.3e11), `enumerate -n 11` 50-57 s with 230 MB and `enumerate
-# -n 12` 353 s with 1.0 GB.
-DEFAULT_MAX_N = 9
-
 # Shape-mask bits (selected edge directions at an internal vertex).
 U, L, B, R = 1, 2, 4, 8
 _SHAPES = frozenset({U | L, U | B, U | R, L | B, L | R, B | R})
@@ -113,17 +106,6 @@ def asm_count(n: int) -> int:
     num = math.prod(math.factorial(3 * k + 1) for k in range(n))
     den = math.prod(math.factorial(n + k) for k in range(n))
     return num // den
-
-
-def _check_n(n: int, max_n: int | None) -> None:
-    ceiling = DEFAULT_MAX_N if max_n is None else max_n
-    if n < 1:
-        raise ValueError(f"need n >= 1, got n={n}")
-    if n > ceiling:
-        raise CapacityError(
-            f"n={n} exceeds the enumeration ceiling {ceiling} "
-            f"(about {asm_count(n):.3e} states); pass max_n to override"
-        )
 
 
 # -- boundary stub numbering ------------------------------------------
@@ -471,31 +453,16 @@ def state_to_asm(state: FplState) -> AsmMatrix:
 def asm_to_state(asm: AsmMatrix) -> FplState:
     """Inverse of state_to_asm: rebuild the shape grid from entries.
 
-    Vertical arrows below row r are the column prefix sums; horizontal
-    arrows right of column c are one minus the row prefix sums.
+    The downward arrows below a row are the column prefix sums, so the
+    arrow mask below row r is the one above it plus the row's entries,
+    and _row_shapes turns each (above, below) pair into the row's masks.
     """
-    n = asm.n
-    grid = []
-    vabove = [0] * n
-    for r in range(1, n + 1):
-        row = []
-        vbelow = [vabove[c] + asm.rows[r - 1][c] for c in range(n)]
-        l = 1
-        for c in range(1, n + 1):
-            a, b = vabove[c - 1], vbelow[c - 1]
-            rgt = l - asm.rows[r - 1][c - 1]
-            p = (r + c) & 1
-            mask = (
-                (1 if a == p else 0)
-                | (2 if l == p else 0)
-                | (4 if b != p else 0)
-                | (8 if rgt != p else 0)
-            )
-            row.append(mask)
-            l = rgt
-        grid.append(tuple(row))
-        vabove = vbelow
-    return FplState(n, tuple(grid))
+    grid, v = [], 0
+    for r, row in enumerate(asm.rows, 1):
+        v2 = v + sum(x << c for c, x in enumerate(row))
+        grid.append(_row_shapes(asm.n, v, v2, r & 1))
+        v = v2
+    return FplState(asm.n, tuple(grid))
 
 
 def link_pattern_of(state: FplState) -> LinkPattern:
@@ -553,7 +520,7 @@ def enumerate_states(n: int, max_n: int | None = None):
     The order is depth-first over rows with the vertical-arrow masks
     ascending, so it is reproducible across runs and platforms.
     """
-    _check_n(n, max_n)
+    _pat.check_n(n, max_n)
     moves = _row_moves(n)
     full = (1 << n) - 1
     rows: list[tuple[int, ...]] = []
@@ -773,7 +740,7 @@ def histogram(n: int, max_n: int | None = None) -> PatternHistogram:
     every call; a mismatch would mean a defect in the sweep and raises
     ConjectureViolation with both totals in its details.
     """
-    _check_n(n, max_n)
+    _pat.check_n(n, max_n)
     counts = _census(n)
     expected = asm_count(n)
     got = sum(counts.values())

@@ -56,12 +56,20 @@ class SparseIntMatrix:
     """Integer matrix over the pattern basis, held as a hop table.
 
     columns[c] lists one row per operator applied to pattern c, and
-    entry (r, c) is the number of times r occurs there.  ``entries``,
-    the (r, c) -> value dict, is built on each read, for the exports.
+    entry (r, c) is the number of times r occurs there; every row must
+    lie in 0..dim-1.  ``entries``, the (r, c) -> value dict, is built on
+    each read, for the exports.
     """
 
     n: int
     columns: Sequence[Sequence[int]]
+
+    def __post_init__(self):
+        dim = len(self.columns)
+        for c, col in enumerate(self.columns):
+            if col and not (0 <= min(col) and max(col) < dim):
+                bad = next(r for r in col if not 0 <= r < dim)
+                raise ValueError(f"column {c} holds row {bad}, outside 0..{dim - 1}")
 
     @property
     def dim(self) -> int:
@@ -143,13 +151,15 @@ class BigIntVector:
         }
 
 
-def build_hamiltonian(n: int) -> SparseIntMatrix:
+def build_hamiltonian(n: int, max_n: int | None = None) -> SparseIntMatrix:
     """Sum the 2n rewiring operators as 0/1 matrices over the basis.
 
     The sum is the hop table itself: column c lists the image of
     pattern c under each operator, so entry (r, c) counts the operator
-    indices sending c to r, and every column sums to 2n.
+    indices sending c to r, and every column sums to 2n.  n is checked
+    against the size ceiling (max_n, else patterns.MAX_N) first.
     """
+    _pat.check_n(n, max_n)
     return SparseIntMatrix(n, _pat.hop_table(n))
 
 
@@ -407,7 +417,7 @@ def verify_conjecture(n: int, max_n: int | None = None) -> VerificationReport:
     t0 = time.perf_counter()
     report = VerificationReport(n)
 
-    H = build_hamiltonian(n)  # a CapacityError comes before any census work
+    H = build_hamiltonian(n, max_n)  # a CapacityError comes before any census work
     try:
         hist = _fpl.histogram(n, max_n=max_n)
     except ConjectureViolation as exc:  # census-sweep or census-total

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from loopmodel import cli, fpl, spectra, stochastic
+from loopmodel import cli, fpl, patterns, spectra, stochastic
 
 
 @pytest.fixture()
@@ -199,9 +199,9 @@ def test_verify_refuses_over_hop_table_before_census(cache, monkeypatch, capsys)
         raise AssertionError("census ran before the capacity check")
 
     monkeypatch.setattr(fpl, "histogram", no_census)
-    argv = ["verify", "-n", "11", "--long", "--max-n", "11", "--no-cache"]
+    argv = ["verify", "-n", "11", "--long", "--no-cache"]
     assert run(argv) == cli.EXIT_CAPACITY
-    assert "MAX_HOP_TABLE" in capsys.readouterr().err
+    assert "--max-n 11" in capsys.readouterr().err
 
 
 def test_cache_store_is_atomic(cache, monkeypatch):
@@ -262,7 +262,7 @@ def test_sample_determinism(cache, tmp_path):
 
 
 def test_sample_honours_max_n(cache, monkeypatch, capsys):
-    monkeypatch.setattr(fpl, "DEFAULT_MAX_N", 3)
+    monkeypatch.setattr(patterns, "MAX_N", 3)
     assert run(["sample", "-n", "4", "--max-n", "4", "--samples", "1000",
                 "--out", "-"]) == 0
     assert run(["sample", "-n", "4", "--samples", "1000"]) == cli.EXIT_CAPACITY
@@ -295,9 +295,52 @@ def test_sample_refuses_over_hop_table_before_census(cache, monkeypatch, capsys)
         raise AssertionError("census ran before the capacity check")
 
     monkeypatch.setattr(fpl, "histogram", no_census)
-    argv = ["sample", "-n", "11", "--max-n", "11", "--samples", "10"]
+    argv = ["sample", "-n", "11", "--samples", "10"]
     assert run(argv) == cli.EXIT_CAPACITY
-    assert "MAX_HOP_TABLE" in capsys.readouterr().err
+    assert "--max-n 11" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate"], ["groundstate"], ["verify", "--long"],
+    ["sample", "--samples", "1000"], ["render"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_honours_the_one_ceiling(cache, monkeypatch, capsys,
+                                                  argv):
+    monkeypatch.setattr(patterns, "MAX_N", 3)
+    assert run([*argv, "-n", "4"]) == cli.EXIT_CAPACITY
+    assert "--max-n 4" in capsys.readouterr().err
+    assert run([*argv, "-n", "4", "--max-n", "4"]) == cli.EXIT_OK
+    # a cached artifact from the lifted run lets nothing through
+    assert run([*argv, "-n", "4"]) == cli.EXIT_CAPACITY
+
+
+class CensusReached(Exception):
+    pass
+
+
+def test_verify_over_the_ceiling_reaches_the_census_with_max_n(cache,
+                                                               monkeypatch):
+    # the operator at n = 11 (1,293,292 hop-table entries) is built
+    # before the census; no ceiling besides max_n stops it
+    def census(n, max_n=None):
+        raise CensusReached((n, max_n))
+
+    monkeypatch.setattr(fpl, "histogram", census)
+    try:
+        with pytest.raises(CensusReached) as info:
+            run(["verify", "-n", "11", "--long", "--max-n", "11", "--no-cache"])
+        assert info.value.args == ((11, 11),)
+    finally:  # release the n = 11 tables for the rest of the session
+        for cached in (patterns._basis, patterns.hop_table,
+                       patterns.rotation_permutation):
+            cached.cache_clear()
+
+
+@pytest.mark.long
+def test_verify_n11_with_max_n(cache, capsys):
+    argv = ["verify", "-n", "11", "--long", "--max-n", "11", "--no-cache"]
+    assert run(argv) == cli.EXIT_OK
+    assert "[pass] n=11 overall" in capsys.readouterr().out
 
 
 def test_verify_path_never_builds_the_entry_dict(cache, monkeypatch, capsys):

@@ -298,7 +298,7 @@ def test_histogram_total_n8():
 
 
 def test_asm_state_round_trip():
-    for n in range(1, 5):
+    for n in range(1, 7):
         seen = set()
         for st in fpl.enumerate_states(n):
             m = fpl.state_to_asm(st)
@@ -356,12 +356,12 @@ def test_sweep_invariants_survive_optimized_mode():
 
 
 def test_capacity_refusal():
+    with pytest.raises(CapacityError, match="max_n=11"):
+        fpl.histogram(11)
     with pytest.raises(CapacityError):
-        fpl.histogram(10)
-    with pytest.raises(CapacityError):
-        list(fpl.enumerate_states(10))
+        list(fpl.enumerate_states(11))
     # explicit override widens the ceiling (not exercised to completion)
-    gen = fpl.enumerate_states(10, max_n=10)
+    gen = fpl.enumerate_states(11, max_n=11)
     next(gen)
     gen.close()
 

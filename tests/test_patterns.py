@@ -80,7 +80,7 @@ def test_rank_of_foreign_pattern_value_error():
 
 def test_capacity_ceiling():
     with pytest.raises(CapacityError):
-        pat.enumerate_patterns(18)  # C(18) > 1e6 default ceiling
+        pat.enumerate_patterns(pat.MAX_N + 1)  # above the default ceiling
 
 
 def test_hop_table_matches_apply_h():

@@ -236,22 +236,26 @@ def test_strongly_connected():
     assert spectra.strongly_connected([[]])
 
 
+@pytest.mark.parametrize("row", [-1, 5])
+def test_matrix_rejects_a_row_outside_the_basis(row):
+    with pytest.raises(ValueError, match=f"column 0 holds row {row}"):
+        spectra.SparseIntMatrix(1, [[0, row]])
+
+
 def test_matrix_ceiling():
     with pytest.raises(CapacityError):
         spectra.build_hamiltonian(11)
 
 
 def test_hop_table_ceiling_guards_every_sweep(monkeypatch):
-    hist = fpl.histogram(4)
+    # A function handed a census (preimage_sums_all, player_b_probability
+    # with hist) trusts the census's n and is not checked here.
     target = patterns.unrank(4, 0)
-    monkeypatch.setattr(patterns, "MAX_HOP_TABLE", 100)  # 14 * 8 = 112 entries
-    patterns.hop_table.cache_clear()
+    monkeypatch.setattr(patterns, "MAX_N", 3)
     with pytest.raises(CapacityError):
         spectra.build_hamiltonian(4)
     with pytest.raises(CapacityError):
-        spectra.preimage_sums_all(4, hist)
-    with pytest.raises(CapacityError):
-        stochastic.player_b_probability(4, target, hist)
+        stochastic.player_b_probability(4, target)
     with pytest.raises(CapacityError):
         stochastic.sample_stationary(4, samples=10, compare=False)
 
