@@ -34,7 +34,12 @@ transition fixes the whole row, including every shape mask.  Selected
 edges are the arrows leaving vertices of even checkerboard parity
 (row+col even), equivalently the arrows entering odd vertices; this is
 the orientation convention under which the numbered-stub boundary rule
-holds, which `_row_moves` checks for every precomputed row.
+holds, which `_row_moves` checks for every precomputed row.  The row
+table is built bit-parallel: `_row_shapes` gets the horizontal arrows
+of a row as a prefix xor of its flips and each of the four shape bits
+as one n-bit word, spread to one byte per column, and `_row_moves`
+checks the convention on that packed row with a few integer
+comparisons instead of a loop over columns.
 
 The census keeps, along the sweep, a frontier linkage: for every live
 vertical edge crossing the sweep line, the far end of its open path
@@ -132,7 +137,7 @@ def _left_stub(n: int, r: int) -> int | None:
     return 2 * n + 1 - r // 2 if r % 2 == 0 else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def stub_positions(n: int) -> dict[int, tuple[str, int]]:
     """Map stub number -> (side, index); side in "TRBL", index 1-based."""
     out: dict[int, tuple[str, int]] = {}
@@ -152,38 +157,78 @@ def stub_positions(n: int) -> dict[int, tuple[str, int]]:
 # -- row transition table ----------------------------------------------
 
 
+# Widest row the packed row words handle: the prefix xor in _row_shapes
+# reaches 16 columns and its checkerboard constant 0x5555 has 16 bits.
+MAX_ROW_BITS = 16
+
+
+@lru_cache(maxsize=8)
+def _spread(n: int) -> list[int]:
+    """spread[w]: the n-bit word w with its bit j moved to bit 8j."""
+    if n > MAX_ROW_BITS:
+        raise CapacityError(
+            f"n={n}: the packed row words handle n <= {MAX_ROW_BITS}"
+        )
+    table = [0]
+    for j in range(n):
+        table += [s | 1 << 8 * j for s in table]
+    return table
+
+
+@lru_cache(maxsize=8)
+def _parity_words(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Per row parity, what the numbered-stub convention asks of a packed row.
+
+    Entry p = r mod 2 holds (up, down, left, right): the U bytes must
+    equal spread[v] ^ up and the B bytes spread[v2] ^ down, where up and
+    down are the spread checkerboard words; the L bit of column 1 must
+    equal left (set iff the row is even) and the R bit of column n must
+    equal right (set iff n + r is odd).
+    """
+    spread, full = _spread(n), (1 << n) - 1
+    out = []
+    for parity in (0, 1):
+        P = (0x5555 << parity) & full  # columns j with r + j + 1 odd
+        out.append((spread[P ^ full], spread[P], 2 * (1 - parity),
+                    (n + parity) & 1))
+    return tuple(out)
+
+
 def _row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | None:
     """Shape masks for one row given arrow masks above (v) and below (v2).
 
     Returns None when the transition is invalid.  row_parity is r mod 2.
-    Horizontal arrows enter at 1 (rightward) and must leave at 0.
+    Horizontal arrows enter at 1 (rightward) and must leave at 0, and a
+    column flips the horizontal arrow exactly when it flips its vertical
+    one, so the arrow entering column j is 1 xor the parity of the flips
+    v ^ v2 left of j: a prefix xor by shifts of 1, 2, 4 and 8.
+    A flip is legal iff that arrow differs from the bit above it.  With
+    P the checkerboard word (bit j set iff r + j + 1 is odd), l the
+    arrows entering each column and rgt = l ^ v ^ v2 those leaving it,
+    the four shape bits are the n-bit words U = ~(v ^ P), L = ~(l ^ P),
+    B = v2 ^ P and R = rgt ^ P; _spread puts each column in its own
+    byte and to_bytes reads the masks off.
     """
-    shapes = []
-    l = 1
-    for j in range(n):
-        a = (v >> j) & 1
-        b = (v2 >> j) & 1
-        if b != a:
-            if l != 1 - a:
-                return None
-            rgt = a
-        else:
-            rgt = l
-        p = (row_parity + j + 1) & 1  # checkerboard parity of (r, j+1)
-        mask = (
-            (1 if a == p else 0)
-            | (2 if l == p else 0)
-            | (4 if b != p else 0)
-            | (8 if rgt != p else 0)
-        )
-        shapes.append(mask)
-        l = rgt
-    if l != 0:
+    full = (1 << n) - 1
+    d = v ^ v2
+    x = d << 1  # bit j: parity of the flips left of j, once prefixed
+    x ^= x << 1
+    x ^= x << 2
+    x ^= x << 4
+    x ^= x << 8
+    # x holds ~l, so the row leaves at 0 iff bit n is set, and a flip at
+    # j is illegal iff l_j == v_j, that is iff x_j != v_j
+    if not x >> n & 1 or d & (x ^ v):
         return None
-    return tuple(shapes)
+    P = (0x5555 << row_parity) & full
+    q = P ^ full  # ~P
+    spread = _spread(n)
+    packed = (spread[v ^ q] | spread[(x ^ P) & full] << 1
+              | spread[v2 ^ P] << 2 | spread[(x ^ d ^ q) & full] << 3)
+    return tuple(packed.to_bytes(n, "little"))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]:
     """moves[v] = sorted list of (v2, shapes for odd rows, for even rows).
 
@@ -194,12 +239,19 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
     then checked: _row_shapes must accept it, and the parity convention
     must place boundary edges exactly on the numbered stubs at both
     parities: top stubs on odd columns, and the left/right edge
-    selection matching the row parity rule used by the census.  A row
-    that breaks either raises ConjectureViolation, also under python -O.
-    _row_shapes runs at odd parity only: flipping the checkerboard
-    parity negates all four bit conditions, so the even-row masks are
-    the odd ones xor 15.
+    selection matching the row parity rule used by the census.  The
+    check runs on the row packed one byte per column, as four integer
+    comparisons per parity against _parity_words: the U and B bytes
+    against the spread words for v and v2, the L bit of column 1 and
+    the R bit of column n.  A row that breaks either raises
+    ConjectureViolation, also under python -O.  _row_shapes runs at odd
+    parity only: flipping the checkerboard parity negates all four bit
+    conditions, so the even row is the packed odd row xor 0x0F...0F.
     """
+    spread = _spread(n)
+    ones = spread[-1]  # 0x01 in every column's byte
+    flip, rbit = 15 * ones, 8 * n - 5
+    words = _parity_words(n)
     moves: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = []
     for v in range(1 << n):
         partial = [(v, 1)]  # (v2 so far, arrow entering the next column)
@@ -207,6 +259,7 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
             a = (v >> j) & 1
             partial += [(w ^ (1 << j), a) for w, l in partial if l != a]
         row = []
+        sv = spread[v]
         for v2 in sorted(w for w, l in partial if l == 0):
             odd = _row_shapes(n, v, v2, 1)
             if odd is None:
@@ -214,24 +267,18 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
                     "a generated row is invalid",
                     {"n": n, "v": v, "v2": v2}, check="census-sweep",
                 )
-            even = tuple(15 ^ mask for mask in odd)
-            for parity, shapes in ((1, odd), (0, even)):
-                # left edge selected iff the row is even; right edge
-                # selected iff n+row is odd; up edges follow v's bits
-                # on the checkerboard.
-                ok = (bool(shapes[0] & L) == (parity == 0)
-                      and bool(shapes[-1] & R) == ((n + parity) % 2 == 1))
-                for j in range(n):
-                    p = (parity + j + 1) & 1
-                    ok = (ok and bool(shapes[j] & U) == (((v >> j) & 1) == p)
-                          and bool(shapes[j] & B) == (((v2 >> j) & 1) != p))
-                if not ok:
+            packed = int.from_bytes(odd, "little")
+            even, sv2 = packed ^ flip, spread[v2]
+            for parity, word in ((1, packed), (0, even)):
+                up, down, left, right = words[parity]
+                if (word & ones != sv ^ up or word >> 2 & ones != sv2 ^ down
+                        or word & 2 != left or word >> rbit & 1 != right):
                     raise ConjectureViolation(
                         "row shapes break the numbered-stub parity convention",
                         {"n": n, "v": v, "v2": v2, "parity": parity},
                         check="census-sweep",
                     )
-            row.append((v2, odd, even))
+            row.append((v2, odd, tuple(even.to_bytes(n, "little"))))
         moves.append(row)
     return moves
 
@@ -608,14 +655,17 @@ def _census(n: int) -> dict[int, int]:
     bottom stubs, and keys every result with an empty frontier, so the
     last level is the single bucket {final arcs: multiplicity}.  Each
     distinct final value is decoded once.  Returns a dict rank -> count
-    over final link patterns.
+    over final link patterns.  The row table is built for this sweep
+    alone, past the _row_moves cache, so it is freed with the sweep
+    (about 30 MB at n = 11) and the spectral side of a verify run does
+    not stack on it.
     """
     if 2 * n >= 1 << ARC_BITS:
         raise CapacityError(
             f"n={n} has stub numbers beyond the {ARC_BITS}-bit packed arc "
             f"field; the census handles n <= {((1 << ARC_BITS) - 1) // 2}"
         )
-    moves = _row_moves(n)
+    moves = _row_moves.__wrapped__(n)
     full = (1 << n) - 1
     top = 2 * n
     # arc[a][b]: packed value of the arc joining stubs a and b
@@ -707,9 +757,11 @@ class PatternHistogram:
         return [self.counts.get(r, 0) for r in range(_pat.catalan(self.n))]
 
     def to_csv_text(self) -> str:
+        """One line per rank; the match arrays come from the raw basis tuples."""
         lines = ["rank,match_array,count"]
         for r in sorted(self.counts):
-            lines.append(f"{r},{_pat.unrank(self.n, r).to_text()},{self.counts[r]}")
+            match = _pat.match_text(_pat._match_of(self.n, r))
+            lines.append(f"{r},{match},{self.counts[r]}")
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:

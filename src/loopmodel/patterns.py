@@ -176,7 +176,7 @@ class LinkPattern:
 
     def to_text(self) -> str:
         """1-based match array, space separated (round-trips from_text)."""
-        return " ".join(str(j + 1) for j in self.match)
+        return match_text(self.match)
 
     def to_parens(self) -> str:
         """Balanced-parenthesis word (round-trips from_parens)."""
@@ -195,6 +195,11 @@ class LinkPattern:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def match_text(match: tuple[int, ...]) -> str:
+    """The 1-based match array form of a 0-based match tuple."""
+    return " ".join(str(j + 1) for j in match)
 
 
 # -- elementary operators ---------------------------------------------
@@ -275,18 +280,22 @@ def _lex_matchings(n: int) -> list[tuple[int, ...]]:
     return table[n]
 
 
-@lru_cache(maxsize=None)
-def _basis(n: int) -> tuple[tuple[LinkPattern, ...], dict[tuple[int, ...], int]]:
-    arrays = _lex_matchings(n)
-    patterns = tuple(LinkPattern(n, m) for m in arrays)
-    index = {m: r for r, m in enumerate(arrays)}
-    return patterns, index
+@lru_cache(maxsize=8)
+def _basis(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """(match tuples in lex order, match tuple -> rank).
+
+    Raw tuples only: the census ranks its final matchings and the hop
+    table rewires them without a LinkPattern, and the public views
+    below build validated patterns on demand.
+    """
+    arrays = tuple(_lex_matchings(n))
+    return arrays, {m: r for r, m in enumerate(arrays)}
 
 
 def enumerate_patterns(n: int, max_n: int | None = None) -> list[LinkPattern]:
     """All noncrossing patterns of size n in canonical (ranked) order."""
     check_n(n, max_n)
-    return list(_basis(n)[0])
+    return [LinkPattern(n, m) for m in _basis(n)[0]]
 
 
 def rank(p: LinkPattern) -> int:
@@ -296,10 +305,15 @@ def rank(p: LinkPattern) -> int:
 
 def unrank(n: int, r: int) -> LinkPattern:
     """Inverse of rank: the pattern with the given rank."""
-    patterns, _ = _basis(n)
-    if not 0 <= r < len(patterns):
-        raise ValueError(f"rank {r} out of range 0..{len(patterns) - 1}")
-    return patterns[r]
+    return LinkPattern(n, _match_of(n, r))
+
+
+def _match_of(n: int, r: int) -> tuple[int, ...]:
+    """The match tuple of rank r, without building a LinkPattern."""
+    arrays = _basis(n)[0]
+    if not 0 <= r < len(arrays):
+        raise ValueError(f"rank {r} out of range 0..{len(arrays) - 1}")
+    return arrays[r]
 
 
 @lru_cache(maxsize=8)

@@ -8,6 +8,11 @@ with them for n up to 5.
 The per-key census sweep advances every (v, frontier) key through every
 row move on its own, with no shape groups; the tests compare the
 grouped sweep with it for n up to 8.
+
+The per-column row shapes walk one row column by column; the tests
+compare the bit-parallel fpl._row_shapes with them for every (v, v2,
+parity) up to n = 7 and build the brute-force row-move table from
+them.
 """
 from __future__ import annotations
 
@@ -16,6 +21,39 @@ from fractions import Fraction
 
 from loopmodel import fpl, patterns
 from loopmodel.errors import ConjectureViolation
+
+
+def row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | None:
+    """Shape masks for one row, one column at a time; None if invalid.
+
+    v and v2 are the downward-arrow masks above and below the row, and
+    row_parity is r mod 2.  The horizontal arrow enters at 1 and must
+    leave at 0; a column whose vertical arrow flips takes the arrow
+    from the bit above, which must differ from the arrow entering it.
+    """
+    shapes = []
+    l = 1
+    for j in range(n):
+        a = (v >> j) & 1
+        b = (v2 >> j) & 1
+        if b != a:
+            if l != 1 - a:
+                return None
+            rgt = a
+        else:
+            rgt = l
+        p = (row_parity + j + 1) & 1  # checkerboard parity of (r, j+1)
+        mask = (
+            (fpl.U if a == p else 0)
+            | (fpl.L if l == p else 0)
+            | (fpl.B if b != p else 0)
+            | (fpl.R if rgt != p else 0)
+        )
+        shapes.append(mask)
+        l = rgt
+    if l != 0:
+        return None
+    return tuple(shapes)
 
 
 def census_per_key(n: int) -> dict[int, int]:

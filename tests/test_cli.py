@@ -314,22 +314,31 @@ def test_every_subcommand_honours_the_one_ceiling(cache, monkeypatch, capsys,
     assert run([*argv, "-n", "4"]) == cli.EXIT_CAPACITY
 
 
-class CensusReached(Exception):
+class OperatorBuilt(Exception):
     pass
 
 
 def test_verify_over_the_ceiling_reaches_the_census_with_max_n(cache,
                                                                monkeypatch):
-    # the operator at n = 11 (1,293,292 hop-table entries) is built
-    # before the census; no ceiling besides max_n stops it
+    # with max_n the census runs (stubbed here by a one-pattern tally)
+    # and then the operator at n = 11 (1,293,292 hop-table entries) is
+    # built; no ceiling besides max_n stops either
+    reached = []
+
     def census(n, max_n=None):
-        raise CensusReached((n, max_n))
+        reached.append((n, max_n))
+        return fpl.PatternHistogram(n, {0: 1})
+
+    def eigenvector(H):
+        raise OperatorBuilt(H.n, H.dim)
 
     monkeypatch.setattr(fpl, "histogram", census)
+    monkeypatch.setattr(spectra, "perron_vector", eigenvector)
     try:
-        with pytest.raises(CensusReached) as info:
+        with pytest.raises(OperatorBuilt) as info:
             run(["verify", "-n", "11", "--long", "--max-n", "11", "--no-cache"])
-        assert info.value.args == ((11, 11),)
+        assert reached == [(11, 11)]
+        assert info.value.args == (11, patterns.catalan(11))
     finally:  # release the n = 11 tables for the rest of the session
         for cached in (patterns._basis, patterns.hop_table,
                        patterns.rotation_permutation):

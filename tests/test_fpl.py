@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from exact_reference import census_per_key
+from exact_reference import census_per_key, row_shapes
 from loopmodel import fpl, patterns, render
 from loopmodel.errors import CapacityError, ConjectureViolation
 
@@ -72,14 +72,15 @@ def brute_force_asms(n):
 
 
 def brute_force_row_moves(n):
-    """The row-move table by testing every (v, v2) pair: 4**n shape calls."""
+    """The row-move table by testing every (v, v2) pair with the per-column
+    reference: 4**n shape calls, none of them through fpl._row_shapes."""
     moves = []
     for v in range(1 << n):
         row = []
         for v2 in range(1 << n):
-            odd = fpl._row_shapes(n, v, v2, 1)
+            odd = row_shapes(n, v, v2, 1)
             if odd is not None:
-                row.append((v2, odd, fpl._row_shapes(n, v, v2, 0)))
+                row.append((v2, odd, row_shapes(n, v, v2, 0)))
         moves.append(row)
     return moves
 
@@ -163,6 +164,40 @@ def test_row_moves_match_brute_force(n):
     assert sum(len(row) for row in moves) == (3 ** n - 1) // 2
     assert all(mask in fpl._SHAPES
                for row in moves for _, odd, even in row for mask in odd + even)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bit_parallel_row_shapes_match_per_column_reference(n):
+    for v in range(1 << n):
+        for v2 in range(1 << n):
+            for parity in (0, 1):
+                assert (fpl._row_shapes(n, v, v2, parity)
+                        == row_shapes(n, v, v2, parity)), (v, v2, parity)
+
+
+@pytest.mark.parametrize("bit", [fpl.U, fpl.B], ids=["U", "B"])
+def test_row_moves_refuse_a_row_with_one_flipped_stub_bit(monkeypatch, bit):
+    # the packed convention check must compare the U word and the B word;
+    # flipping one such bit in column 2 of one row touches neither the L
+    # bit of column 1 nor the R bit of column n
+    n, v, v2 = 3, 0b101, 0b111
+    real = fpl._row_shapes
+
+    def corrupted(n_, v_, v2_, parity):
+        shapes = real(n_, v_, v2_, parity)
+        if (v_, v2_) == (v, v2):
+            shapes = (shapes[0], shapes[1] ^ bit, *shapes[2:])
+        return shapes
+
+    monkeypatch.setattr(fpl, "_row_shapes", corrupted)
+    fpl._row_moves.cache_clear()
+    try:
+        with pytest.raises(ConjectureViolation, match="parity convention") as info:
+            fpl._row_moves(n)
+    finally:
+        fpl._row_moves.cache_clear()
+    assert info.value.check == "census-sweep"
+    assert info.value.details == {"n": n, "v": v, "v2": v2, "parity": 1}
 
 
 def test_census_matches_per_state_enumeration():
@@ -362,8 +397,35 @@ def test_capacity_refusal():
         list(fpl.enumerate_states(11))
     # explicit override widens the ceiling (not exercised to completion)
     gen = fpl.enumerate_states(11, max_n=11)
-    next(gen)
-    gen.close()
+    try:
+        next(gen)
+        gen.close()
+    finally:  # release the n = 11 row table for the rest of the session
+        fpl._row_moves.cache_clear()
+
+
+def test_row_words_refuse_a_row_beyond_their_width():
+    n = fpl.MAX_ROW_BITS
+    wide = fpl.AsmMatrix(n, tuple(tuple(int(c == r) for c in range(n))
+                                  for r in range(n)))
+    assert fpl.state_to_asm(fpl.asm_to_state(wide)) == wide
+    wider = fpl.AsmMatrix(n + 1, tuple(tuple(int(c == r) for c in range(n + 1))
+                                       for r in range(n + 1)))
+    with pytest.raises(CapacityError, match=f"n <= {n}"):
+        fpl.asm_to_state(wider)
+
+
+@pytest.mark.parametrize("table", [
+    fpl._row_moves, fpl._spread, fpl._parity_words, fpl.stub_positions,
+    patterns._basis,
+], ids=lambda table: table.__name__)
+def test_per_n_caches_are_bounded(table):
+    # a process that visits many n keeps at most eight n's tables
+    for n in range(1, 10):
+        table(n)
+    info = table.cache_info()
+    assert info.maxsize == 8
+    assert info.currsize <= 8
 
 
 def test_csv_and_json_round_trip():
