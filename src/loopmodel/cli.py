@@ -8,18 +8,20 @@ spectrum comparison, ``sample`` drives the Markov-chain sampler, and
 a root taken from $LOOPMODEL_CACHE (default ~/.cache/loopmodel), as
 ``v<CACHE_VERSION>/n=<n>/<name>.json``, so a format bump never reads an
 older entry.  Each file carries a format version and a checksum and is
-written atomically; corrupt cache entries are recomputed silently, a
-cached census is used only when its n, its total A_n and its ranks fit
-the request, and a cached eigenvector only after it passes the same
-certificate as a fresh one.
+written atomically; a cache write that fails prints one warning and
+leaves the command's output alone, corrupt cache entries are recomputed
+silently, a cached census is used only when its n, its total A_n, its
+ranks and the signs of its counts fit the request, and a cached
+eigenvector only after it passes the same certificate as a fresh one.
 
 Every subcommand that takes ``-n`` refuses n above one size ceiling,
 ``loopmodel.patterns.MAX_N``, before any census or operator work, and
 its ``--max-n`` lifts that ceiling.  ``verify`` also asks for
 ``--long`` from n = LONG_GATE_N up.
 
-Exit status: 0 on success, 1 when a requested check fails, 2 on a
-capacity refusal (the message names the ceiling and how to raise it).
+Exit status: 0 on success, 1 when a requested check fails or an
+argument or artifact path is unusable, 2 on a capacity refusal (the
+message names the ceiling and how to raise it).
 """
 from __future__ import annotations
 
@@ -95,6 +97,15 @@ def cache_load(n: int, name: str) -> dict | None:
         return None
 
 
+def _store(n: int, name: str, payload: dict) -> None:
+    """cache_store for the commands: a failed write, like a failed read,
+    costs only the cache, so the command keeps its output and status."""
+    try:
+        cache_store(n, name, payload)
+    except OSError as exc:
+        print(f"warning: {name} not cached: {exc}", file=sys.stderr)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -105,7 +116,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cached_histogram(n: int) -> _fpl.PatternHistogram | None:
     """The cached census for n, or None unless it parses, is for n, has
-    total A_n and ranks only inside the basis."""
+    total A_n, ranks only inside the basis and only positive counts."""
     payload = cache_load(n, "histogram")
     if payload is None:
         return None
@@ -115,7 +126,8 @@ def _cached_histogram(n: int) -> _fpl.PatternHistogram | None:
         return None
     dim = _pat.catalan(n)
     if (hist.n != n or hist.total() != _fpl.asm_count(n)
-            or any(not 0 <= r < dim for r in hist.counts)):
+            or any(not 0 <= r < dim for r in hist.counts)
+            or any(c < 1 for c in hist.counts.values())):
         return None
     return hist
 
@@ -133,7 +145,7 @@ def _histogram(args) -> _fpl.PatternHistogram:
             return hist
     hist = _fpl.histogram(args.n, max_n=args.max_n)
     if not args.no_cache:
-        cache_store(args.n, "histogram", hist.to_json_obj())
+        _store(args.n, "histogram", hist.to_json_obj())
     return hist
 
 
@@ -169,7 +181,7 @@ def cmd_groundstate(args) -> int:
     if psi is None:
         psi = _spec.perron_vector(H)
         if not args.no_cache:
-            cache_store(args.n, "vector", psi.to_json_obj())
+            _store(args.n, "vector", psi.to_json_obj())
     print(f"n={args.n}: eigenvector at 2n={2 * args.n} over {H.dim} patterns")
     print(f"  component sum {psi.total()}")
     print(f"  component max {psi.maximum()}")
@@ -198,7 +210,7 @@ def cmd_verify(args) -> int:
     for line in report.summary_lines():
         print(line)
     if not args.no_cache:
-        cache_store(args.n, "report", report.to_json_obj())
+        _store(args.n, "report", report.to_json_obj())
     if args.out:
         _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -351,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConjectureViolation as exc:
         print(f"violation: {exc} {exc.details}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

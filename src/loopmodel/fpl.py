@@ -34,12 +34,13 @@ transition fixes the whole row, including every shape mask.  Selected
 edges are the arrows leaving vertices of even checkerboard parity
 (row+col even), equivalently the arrows entering odd vertices; this is
 the orientation convention under which the numbered-stub boundary rule
-holds, which `_row_moves` checks for every precomputed row.  The row
-table is built bit-parallel: `_row_shapes` gets the horizontal arrows
-of a row as a prefix xor of its flips and each of the four shape bits
-as one n-bit word, spread to one byte per column, and `_row_moves`
-checks the convention on that packed row with a few integer
-comparisons instead of a loop over columns.
+holds, which `_row_moves` checks for every generated row.  The row
+table is built bit-parallel, once per call: `_row_shapes` gets the
+horizontal arrows of a row as a prefix xor of its flips and each of the
+four shape bits as one n-bit word, spread to one byte per column, and
+`_row_moves` checks the convention on that packed odd row with a few
+integer comparisons.  The even row is the odd one with all four bits
+flipped, so a check at even parity would restate the odd one.
 
 The census keeps, along the sweep, a frontier linkage: for every live
 vertical edge crossing the sweep line, the far end of its open path
@@ -61,16 +62,15 @@ one marker, and each (shape, move) is advanced once, on a linkage whose
 stub at column j carries the placeholder label 2n + 1 + j, above every
 real stub.  That one advance yields the new shape, a gather that builds
 a member's new linkage from its own stubs and the row's constant
-tokens, the new arcs that end on a placeholder, and the packed arcs
-between literal stubs; every member of the group replays it with its
-own stub numbers.  A group is popped and its buckets released once it
-is advanced, so one level shrinks while the next grows.  Rows 1..n run
-through one loop.  Row n is an ordinary row that keeps only the moves
-to the all-down mask, closes each member's real linkage onto the
-numbered bottom stubs, and keys every result alike, so the last level
-is one bucket {final arcs: multiplicity}; each distinct final value is
-decoded once, checked to be a perfect noncrossing matching, and ranked.
-Totals are exact integers throughout.  The sweep is one pass in one
+tokens, and the new arcs as index pairs into the same tokens; every
+member of the group replays it with its own stub numbers.  A group is
+popped and its buckets released once it is advanced, so one level
+shrinks while the next grows.  Rows 1..n run through one loop.  Row n
+is an ordinary row that keeps only the moves to the all-down mask,
+closes each member's real linkage onto the numbered bottom stubs, and
+keys every result alike, so the last level is one bucket {final arcs:
+multiplicity}; each distinct final value is decoded once, checked to be
+a perfect noncrossing matching, and ranked.  Totals are exact integers throughout.  The sweep is one pass in one
 process, since a level split into slices cannot merge across them.
 `enumerate_states` streams the individual states instead and never
 merges.
@@ -175,25 +175,6 @@ def _spread(n: int) -> list[int]:
     return table
 
 
-@lru_cache(maxsize=8)
-def _parity_words(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Per row parity, what the numbered-stub convention asks of a packed row.
-
-    Entry p = r mod 2 holds (up, down, left, right): the U bytes must
-    equal spread[v] ^ up and the B bytes spread[v2] ^ down, where up and
-    down are the spread checkerboard words; the L bit of column 1 must
-    equal left (set iff the row is even) and the R bit of column n must
-    equal right (set iff n + r is odd).
-    """
-    spread, full = _spread(n), (1 << n) - 1
-    out = []
-    for parity in (0, 1):
-        P = (0x5555 << parity) & full  # columns j with r + j + 1 odd
-        out.append((spread[P ^ full], spread[P], 2 * (1 - parity),
-                    (n + parity) & 1))
-    return tuple(out)
-
-
 def _row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | None:
     """Shape masks for one row given arrow masks above (v) and below (v2).
 
@@ -228,7 +209,6 @@ def _row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | N
     return tuple(packed.to_bytes(n, "little"))
 
 
-@lru_cache(maxsize=8)
 def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]:
     """moves[v] = sorted list of (v2, shapes for odd rows, for even rows).
 
@@ -236,22 +216,25 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
     horizontal arrow enters at 1, a column may flip only when its bit
     above differs from the arrow entering it (the arrow then takes that
     bit), and the arrow must leave the row at 0.  Every generated row is
-    then checked: _row_shapes must accept it, and the parity convention
-    must place boundary edges exactly on the numbered stubs at both
-    parities: top stubs on odd columns, and the left/right edge
-    selection matching the row parity rule used by the census.  The
+    then checked: _row_shapes must accept it, and at odd parity the
+    shapes must place boundary edges exactly on the numbered stubs.  The
     check runs on the row packed one byte per column, as four integer
-    comparisons per parity against _parity_words: the U and B bytes
-    against the spread words for v and v2, the L bit of column 1 and
-    the R bit of column n.  A row that breaks either raises
-    ConjectureViolation, also under python -O.  _row_shapes runs at odd
-    parity only: flipping the checkerboard parity negates all four bit
-    conditions, so the even row is the packed odd row xor 0x0F...0F.
+    comparisons: the U and B bytes against the spread checkerboard words
+    for v and v2 (so top stubs sit on odd columns), no L bit in column 1
+    and an R bit in column n iff n is even.  A row that breaks either
+    raises ConjectureViolation, also under python -O.  _row_shapes runs
+    at odd parity only: flipping the checkerboard parity negates all
+    four bit conditions, so the even row is the packed odd row xor
+    0x0F...0F, and its check would restate the odd one.  The table is
+    not cached: the census frees it with its sweep (about 30 MB at
+    n = 11), so the spectral side of a verify run does not stack on it.
     """
     spread = _spread(n)
     ones = spread[-1]  # 0x01 in every column's byte
     flip, rbit = 15 * ones, 8 * n - 5
-    words = _parity_words(n)
+    full = (1 << n) - 1
+    P = 0xAAAA & full  # columns j with r + j + 1 odd in an odd row r
+    up, down, right = spread[P ^ full], spread[P], (n + 1) & 1
     moves: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = []
     for v in range(1 << n):
         partial = [(v, 1)]  # (v2 so far, arrow entering the next column)
@@ -267,18 +250,15 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
                     "a generated row is invalid",
                     {"n": n, "v": v, "v2": v2}, check="census-sweep",
                 )
-            packed = int.from_bytes(odd, "little")
-            even, sv2 = packed ^ flip, spread[v2]
-            for parity, word in ((1, packed), (0, even)):
-                up, down, left, right = words[parity]
-                if (word & ones != sv ^ up or word >> 2 & ones != sv2 ^ down
-                        or word & 2 != left or word >> rbit & 1 != right):
-                    raise ConjectureViolation(
-                        "row shapes break the numbered-stub parity convention",
-                        {"n": n, "v": v, "v2": v2, "parity": parity},
-                        check="census-sweep",
-                    )
-            row.append((v2, odd, tuple(even.to_bytes(n, "little"))))
+            word = int.from_bytes(odd, "little")
+            if (word & ones != sv ^ up or word >> 2 & ones != spread[v2] ^ down
+                    or word & 2 or word >> rbit & 1 != right):
+                raise ConjectureViolation(
+                    "row shapes break the numbered-stub parity convention",
+                    {"n": n, "v": v, "v2": v2, "parity": 1},
+                    check="census-sweep",
+                )
+            row.append((v2, odd, tuple((word ^ flip).to_bytes(n, "little"))))
         moves.append(row)
     return moves
 
@@ -521,6 +501,7 @@ def link_pattern_of(state: FplState) -> LinkPattern:
     """
     n = state.n
     positions = stub_positions(n)
+    number_at = {pos: num for num, pos in positions.items()}
     entry_of = {"T": U, "B": B, "L": L, "R": R}
     step = {U: (-1, 0, B), B: (1, 0, U), L: (0, -1, R), R: (0, 1, L)}
     side_at = {U: "T", B: "B", L: "L", R: "R"}
@@ -541,13 +522,10 @@ def link_pattern_of(state: FplState) -> LinkPattern:
             r, c = r + dr, c + dc
             if not (1 <= r <= n and 1 <= c <= n):
                 side = side_at[exit_bit]
-                back = {"T": (1, c), "B": (n, c), "L": (r, 1), "R": (r, n)}
-                rr, cc = back[side]
-                idx = cc if side in ("T", "B") else rr
-                for num, pos in positions.items():
-                    if pos == (side, idx):
-                        return num
-                raise ValueError(f"path exits at unnumbered stub {(side, idx)}")
+                pos = (side, c if side in "TB" else r)
+                if (num := number_at.get(pos)) is None:
+                    raise ValueError(f"path exits at unnumbered stub {pos}")
+                return num
 
     m = [-1] * (2 * n)
     for s in range(1, 2 * n + 1):
@@ -643,29 +621,27 @@ def _census(n: int) -> dict[int, int]:
     multiplicity}.  How a row move rewires a frontier depends on its
     shape alone, so each (shape, move) is advanced once by _apply_row,
     on a frontier whose stub at column j carries the placeholder label
-    2n + 1 + j, above every real stub.  That advance yields the new
-    shape, a gather that builds a member's new frontier from its own
-    tokens and the row's constant ones, the arcs that end on a
-    placeholder as index pairs, and the packed arcs between literal
-    stubs; every member replays it with its own stub numbers and adds
-    its new arcs to every entry of its bucket.  Each shape group is
-    popped and released once advanced, so level r shrinks while level
-    r + 1 grows.  Rows 1..n share one loop; row n keeps only the moves
-    to the all-down mask, closes each member's real frontier onto the
-    bottom stubs, and keys every result with an empty frontier, so the
-    last level is the single bucket {final arcs: multiplicity}.  Each
-    distinct final value is decoded once.  Returns a dict rank -> count
-    over final link patterns.  The row table is built for this sweep
-    alone, past the _row_moves cache, so it is freed with the sweep
-    (about 30 MB at n = 11) and the spectral side of a verify run does
-    not stack on it.
+    2n + 1 + j, above every real stub.  A member is replayed on X, its
+    frontier followed by the row's constant tokens, and one map takes
+    every token of the advanced frontier to its index in X: a
+    placeholder to its column, any other token to its place in the
+    tail.  The advance thus yields the new shape, a gather that builds a
+    member's new frontier from X, and every new arc as an index pair
+    into X; each member adds its new arcs to every entry of its bucket.
+    Each shape group is popped and released once advanced, so level r
+    shrinks while level r + 1 grows.  Rows 1..n share one loop; row n
+    keeps only the moves to the all-down mask, closes each member's real
+    frontier onto the bottom stubs, and keys every result with an empty
+    frontier, so the last level is the single bucket {final arcs:
+    multiplicity}.  Each distinct final value is decoded once.  Returns
+    a dict rank -> count over final link patterns.
     """
     if 2 * n >= 1 << ARC_BITS:
         raise CapacityError(
             f"n={n} has stub numbers beyond the {ARC_BITS}-bit packed arc "
             f"field; the census handles n <= {((1 << ARC_BITS) - 1) // 2}"
         )
-    moves = _row_moves.__wrapped__(n)
+    moves = _row_moves(n)
     full = (1 << n) - 1
     top = 2 * n
     # arc[a][b]: packed value of the arc joining stubs a and b
@@ -683,6 +659,7 @@ def _census(n: int) -> dict[int, int]:
         tail = (None, *range(n + 1), *(() if left is None else (left,)),
                 *(() if right is None else (-right,)))
         at = {t: n + i for i, t in enumerate(tail)}  # token -> index in X
+        at.update({-top - 1 - j: j for j in range(n)})  # the placeholders
         nxt: dict = {}
         while level:
             (v, Fs), members = level.popitem()
@@ -695,25 +672,15 @@ def _census(n: int) -> dict[int, int]:
                 F = list(Fp)
                 new: list[tuple[int, int]] = []
                 _apply_row(F, odd if parity else even, left, right, new)
-                lit = 0  # packed arcs between literal stubs
-                links = []  # arcs ending on a placeholder, as X indices
-                for a, b in new:
-                    if b <= top:
-                        lit += arc[a][b]
-                    else:
-                        links.append((b - top - 1, at[-a] if a <= top
-                                      else a - top - 1))
-                idx = [at[t] if t is None or t >= -top else -t - top - 1
-                       for t in F]
+                links = [(at[-a], at[-b]) for a, b in new]
+                idx = [at[t] for t in F]
                 # itemgetter of a single index returns the item itself
                 gather = (itemgetter(*idx) if n > 1
                           else lambda X, i=idx[0]: (X[i],))
                 shape = (full, ()) if last else (v2, _stubs_marked(F))
-                group = nxt.get(shape)
-                if group is None:
-                    group = nxt[shape] = {}
+                group = nxt.setdefault(shape, {})
                 for X, bucket in members:
-                    add = lit
+                    add = 0
                     for i, j in links:
                         add += arc[-X[i]][-X[j]]
                     F2 = gather(X)

@@ -88,15 +88,23 @@ def _move_last_rank_out(obj):
     obj["counts"]["14"] = obj["counts"].pop("13")
 
 
+def _negative_count(obj):
+    # the total stays A_4, so only the sign of a count can tell
+    counts = obj["counts"]
+    counts["0"] += counts["1"] + 1
+    counts["1"] = -1
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda obj: obj.update(fpl.histogram(5).to_json_obj()),
     _double_counts,
     _move_last_rank_out,
+    _negative_count,
     lambda obj: obj.pop("n"),
     lambda obj: obj.update(counts=[1, 2]),
     ["x"],  # a whole payload in place of a corruption
-], ids=["n5-under-n4", "total-not-A4", "rank-outside-basis", "no-n",
-        "counts-a-list", "not-a-dict"])
+], ids=["n5-under-n4", "total-not-A4", "rank-outside-basis", "negative-count",
+        "no-n", "counts-a-list", "not-a-dict"])
 def test_wrong_cached_census_is_recomputed(cache, tmp_path, corrupt):
     fresh = fpl.histogram(4).to_json_obj()
     wrong = fpl.histogram(4).to_json_obj()
@@ -215,6 +223,29 @@ def test_cache_store_is_atomic(cache, monkeypatch):
         cli.cache_store(3, "vector", {"kind": "b"})
     assert cli.cache_load(3, "vector") == {"kind": "a"}
     assert [p.name for p in (cache / "v1" / "n=3").iterdir()] == ["vector.json"]
+
+
+def test_unwritable_artifact_path_is_an_error(cache, tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "x.csv"
+    assert run(["enumerate", "-n", "3", "--no-cache", "--out", str(out)]) == cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "-n", "3"], ["groundstate", "-n", "3"], ["verify", "-n", "3"],
+], ids=lambda argv: argv[0])
+def test_failed_cache_write_keeps_the_output(tmp_path, monkeypatch, capsys, argv):
+    # a cache root below a regular file can be neither read nor written
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv(cli.CACHE_ENV, str(blocker / "cache"))
+    out = tmp_path / "artifact"
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_OK
+    assert out.read_text()
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1
 
 
 def test_unversioned_cache_entry_is_a_miss(cache, tmp_path):

@@ -166,6 +166,18 @@ def test_row_moves_match_brute_force(n):
                for row in moves for _, odd, even in row for mask in odd + even)
 
 
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_even_rows_beyond_the_brute_force_range(n):
+    # _row_moves derives each even row from its odd one and checks the
+    # convention at odd parity only; past the reach of the brute force
+    # the even rows must still be the per-column complements of the odd
+    # ones and what _row_shapes gives at even parity
+    for v, row in enumerate(fpl._row_moves(n)):
+        for v2, odd, even in row:
+            assert even == tuple(m ^ 15 for m in odd), (v, v2)
+            assert even == fpl._row_shapes(n, v, v2, 0), (v, v2)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_bit_parallel_row_shapes_match_per_column_reference(n):
     for v in range(1 << n):
@@ -190,12 +202,8 @@ def test_row_moves_refuse_a_row_with_one_flipped_stub_bit(monkeypatch, bit):
         return shapes
 
     monkeypatch.setattr(fpl, "_row_shapes", corrupted)
-    fpl._row_moves.cache_clear()
-    try:
-        with pytest.raises(ConjectureViolation, match="parity convention") as info:
-            fpl._row_moves(n)
-    finally:
-        fpl._row_moves.cache_clear()
+    with pytest.raises(ConjectureViolation, match="parity convention") as info:
+        fpl._row_moves(n)
     assert info.value.check == "census-sweep"
     assert info.value.details == {"n": n, "v": v, "v2": v2, "parity": 1}
 
@@ -380,7 +388,6 @@ def test_sweep_invariants_survive_optimized_mode():
 
         real_shapes = fpl._row_shapes
         fpl._row_shapes = lambda n, v, v2, parity: real_shapes(n, v, v2, 1 - parity)
-        fpl._row_moves.cache_clear()
         expect_violation("a swapped parity convention")
     """)
     src = Path(__file__).resolve().parents[1] / "src"
@@ -397,11 +404,8 @@ def test_capacity_refusal():
         list(fpl.enumerate_states(11))
     # explicit override widens the ceiling (not exercised to completion)
     gen = fpl.enumerate_states(11, max_n=11)
-    try:
-        next(gen)
-        gen.close()
-    finally:  # release the n = 11 row table for the rest of the session
-        fpl._row_moves.cache_clear()
+    next(gen)
+    gen.close()
 
 
 def test_row_words_refuse_a_row_beyond_their_width():
@@ -416,8 +420,7 @@ def test_row_words_refuse_a_row_beyond_their_width():
 
 
 @pytest.mark.parametrize("table", [
-    fpl._row_moves, fpl._spread, fpl._parity_words, fpl.stub_positions,
-    patterns._basis,
+    fpl._spread, fpl.stub_positions, patterns._basis,
 ], ids=lambda table: table.__name__)
 def test_per_n_caches_are_bounded(table):
     # a process that visits many n keeps at most eight n's tables
