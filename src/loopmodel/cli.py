@@ -13,6 +13,8 @@ leaves the command's output alone, corrupt cache entries are recomputed
 silently, a cached census is used only when its n, its total A_n, its
 ranks and the signs of its counts fit the request, and a cached
 eigenvector only after it passes the same certificate as a fresh one.
+``verify`` neither reads nor writes the cache; it still accepts
+``--no-cache``, and ignores it.
 
 Every subcommand that takes ``-n`` refuses n above one size ceiling,
 ``loopmodel.patterns.MAX_N``, before any census or operator work, and
@@ -209,8 +211,6 @@ def cmd_verify(args) -> int:
     report = _spec.verify_conjecture(args.n, max_n=args.max_n)
     for line in report.summary_lines():
         print(line)
-    if not args.no_cache:
-        _store(args.n, "report", report.to_json_obj())
     if args.out:
         _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -289,9 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="artifact path ('-' for stdout, the default)")
 
-    def no_cache(p):
-        p.add_argument("--no-cache", action="store_true",
-                       help="skip reading and writing the artifact cache")
+    def no_cache(p, text="skip reading and writing the artifact cache"):
+        p.add_argument("--no-cache", action="store_true", help=text)
 
     def max_n(p):
         p.add_argument("--max-n", type=int, default=None,
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="census versus eigenvector, full report")
     common(p)
-    no_cache(p)
+    no_cache(p, "ignored: verify always computes afresh and caches nothing")
     max_n(p)
     p.add_argument("--long", action="store_true",
                    help="allow long runs (n >= 8)")

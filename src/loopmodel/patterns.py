@@ -44,7 +44,7 @@ from .errors import CapacityError
 # the ceiling; code handed a per-n object (a pattern, a census) trusts
 # its n.  On a 2-vCPU Xeon VM `enumerate -n 10` takes 7.6 s with 71 MB,
 # `enumerate -n 11` 50-57 s with 230 MB and `enumerate -n 12` 353 s
-# with 1.0 GB; `groundstate -n 11` takes 5.2-5.6 s with 112 MB.
+# with 1.0 GB; `groundstate -n 11` takes 2.4 s with 74 MB.
 MAX_N = 10
 
 

@@ -20,8 +20,10 @@ integer v with H v = 2n v, checked exactly in big integers, shows that
 2n is the simple top eigenvalue, that the kernel of H - 2n*I is the
 line through v, and, once its gcd is 1, that v is the unique coprime
 positive generator of that line.  The candidate v comes from float
-power iteration on H alone, rescaled and rounded; only the exact
-certificate (:func:`certify_perron`) decides.
+power iteration, in pure Python, on the quotient of H by the rotation
+and reflection of the basis it commutes with (one value per symmetry
+orbit of patterns), rescaled and rounded; only the exact certificate
+(:func:`certify_perron`), run on the full H, decides.
 
 ``verify_conjecture`` runs the full comparison between this spectral
 route and the grid census of :mod:`loopmodel.fpl` and returns a
@@ -32,11 +34,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections import Counter, deque
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain
+from functools import cached_property
+from math import fsum
+from operator import mul
 
 from . import fpl as _fpl
 from . import patterns as _pat
@@ -79,6 +83,24 @@ class SparseIntMatrix:
     def entries(self) -> dict[tuple[int, int], int]:
         pairs = ((r, c) for c, col in enumerate(self.columns) for r in col)
         return dict(Counter(pairs))
+
+    @cached_property
+    def commutation(self) -> tuple[bool, bool]:
+        """Whether the matrix commutes with (rotation, reflection) of the basis.
+
+        It commutes with a permutation sigma iff column sigma(c) holds
+        sigma of column c's rows, as multisets.  Checked once per
+        matrix, and only on the pattern basis (dim = Catalan(n)); any
+        other matrix commutes with neither.
+        """
+        if self.dim != _pat.catalan(self.n):
+            return False, False
+        cols = self.columns
+        return tuple(
+            all(sorted(map(sigma.__getitem__, col)) == sorted(cols[sigma[c]])
+                for c, col in enumerate(cols))
+            for sigma in (_pat.rotation_permutation(self.n),
+                          _pat.reflection_permutation(self.n)))
 
     def get(self, r: int, c: int) -> int:
         return self.columns[c].count(r)
@@ -232,58 +254,94 @@ def certify_perron(H: SparseIntMatrix, v: Iterable[int]) -> BigIntVector:
     return BigIntVector(H.n, tuple(ints))
 
 
+def _orbits(H: SparseIntMatrix) -> tuple[list[int], list[int]]:
+    """(orbit index of every rank, smallest rank of every orbit).
+
+    The orbits are those of the group generated by the dihedral
+    permutations H commutes with (see SparseIntMatrix.commutation); a
+    matrix that commutes with neither has one orbit per rank.
+    """
+    gens = [perm(H.n) for perm, ok in zip(
+        (_pat.rotation_permutation, _pat.reflection_permutation), H.commutation) if ok]
+    orbit = [-1] * H.dim
+    reps: list[int] = []
+    for r in range(H.dim):
+        if orbit[r] >= 0:
+            continue
+        o = len(reps)
+        reps.append(r)
+        orbit[r] = o
+        stack = [r]
+        while stack:
+            s = stack.pop()
+            for g in gens:
+                t = g[s]
+                if orbit[t] < 0:
+                    orbit[t] = o
+                    stack.append(t)
+    return orbit, reps
+
+
 def _perron_candidate(H: SparseIntMatrix) -> tuple[list[int], int]:
     """Float guess at the eigenvector at 2n, and its power-iteration steps.
 
-    The first guess is the iterate scaled to minimum 1 and rounded,
-    which is right when the coprime vector has smallest component 1, as
-    the census does (some pattern has a single state).
-    Power iteration from the all-ones start, each iterate scaled to
-    maximum 1, applies H as one bincount over its distinct (c, r)
-    entries, sorted, each weighted by its count times the iterate at c,
-    so each row adds one rounded term per entry, in column order.  H
-    times an integer vector below 2**53 is exact in float64, so the loop
-    stops at the first rounded guess with H v = 2n v, or once the
-    iterate stops changing and no better guess will come.  If that guess
-    fails, each ratio to the minimum is read as a fraction with
-    denominator at most 2**20, and the guess is those fractions over
-    their common denominator, divided by their gcd.  Past 2**53 a float
-    no longer holds every integer, so a smaller minimum gives the
-    rounded iterate itself, and the certificate judges that.  numpy is
-    imported here, its only use, so the commands that never need a
-    candidate do not load it.
+    The iteration runs on the quotient of H by the dihedral permutations
+    it commutes with (:func:`_orbits`): H maps orbit-constant vectors to
+    orbit-constant vectors, and with Q[o][o2] the number of entries of
+    orbit o2's first column that land in orbit o, the image at o of an
+    orbit-constant x is the sum over o2 of Q[o][o2] |o2| / |o| x[o2];
+    that weight is an integer, as every row of o sums the columns of o2
+    alike.  Each lumped row is summed by math.fsum, correctly rounded.
+    The first guess is the iterate scaled to minimum 1 and rounded half
+    to even, which is right when the coprime vector has smallest
+    component 1, as the census does (some pattern has a single state).
+    Power iteration from the all-ones start scales each iterate to
+    maximum 1.  H times an integer vector below 2**53 is exact in
+    floats, so the loop stops at the first rounded guess with
+    H v = 2n v, or once an iterate repeats one of the last 8 and no new
+    guess will come.  If that guess fails, each ratio to the minimum is
+    read as a fraction with denominator at most 2**20, and the guess is
+    those fractions over their common denominator, divided by their
+    gcd.  Past 2**53 a float no longer holds every integer, so a smaller
+    minimum gives the rounded iterate itself.  The orbit values are
+    then spread over every rank, and only :func:`certify_perron`, run
+    on the full H, decides.
     """
-    import numpy as np
+    orbit, reps = _orbits(H)
+    size = Counter(orbit)
+    rows: list[tuple[list[int], list[float]]] = [([], []) for _ in reps]
+    for o2, c in enumerate(reps):
+        for o, q in Counter(map(orbit.__getitem__, H.columns[c])).items():
+            rows[o][0].append(o2)
+            rows[o][1].append(q * size[o2] / size[o])
 
-    keys = np.repeat(np.arange(H.dim, dtype=np.int64) * H.dim,
-                     [len(col) for col in H.columns])
-    keys += np.fromiter(chain.from_iterable(H.columns), np.int64, keys.size)
-    keys, counts = np.unique(keys, return_counts=True)  # c * dim + r, sorted
-    cols, rows = np.divmod(keys, H.dim)
-    vals = counts.astype(np.float64)
-
-    def apply(x):
-        return np.bincount(rows, weights=vals * x[cols], minlength=H.dim)
+    def image(x: list[float]) -> Iterator[float]:
+        return (fsum(map(mul, w, map(x.__getitem__, idx))) for idx, w in rows)
 
     two_n = 2 * H.n
-    x = np.ones(H.dim)
+    x = [1.0] * len(reps)
+    recent = deque([x], maxlen=8)
     for step in range(1, POWER_MAX_ITER + 1):
-        y = apply(x)
-        y /= y.max()
-        lo = y.min()
+        y = list(image(x))
+        top = max(y) or 1.0  # an all-zero iterate stays zero and fails the certificate
+        y = [t / top for t in y]
+        lo = min(y)
         scaled = lo * 2.0 ** 53 > 1
-        v = np.rint(y / lo) if scaled else np.rint(y)
-        exact = np.array_equal(apply(v), two_n * v)
-        if exact or np.array_equal(y, x):
+        v = [float(round(t / lo if scaled else t)) for t in y]
+        exact = all(a == two_n * t for a, t in zip(image(v), v))
+        if exact or y in recent:
             break
+        recent.append(y)
         x = y
     if exact or not scaled:
-        return [int(c) for c in v], step
-    ratios = [Fraction(r).limit_denominator(2 ** 20) for r in (y / lo).tolist()]
-    den = math.lcm(*(f.denominator for f in ratios))
-    guess = [f.numerator * (den // f.denominator) for f in ratios]
-    g = math.gcd(*guess)
-    return [c // g for c in guess], step
+        vals = [int(t) for t in v]
+    else:
+        ratios = [Fraction(t / lo).limit_denominator(2 ** 20) for t in y]
+        den = math.lcm(*(f.denominator for f in ratios))
+        guess = [f.numerator * (den // f.denominator) for f in ratios]
+        g = math.gcd(*guess)
+        vals = [c // g for c in guess]
+    return [vals[o] for o in orbit], step
 
 
 def perron_vector(H: SparseIntMatrix) -> BigIntVector:
@@ -501,15 +559,9 @@ def verify_conjecture(n: int, max_n: int | None = None) -> VerificationReport:
         f"rotation {'ok' if rot_ok else 'BROKEN'}, reflection {'ok' if refl_ok else 'BROKEN'}",
     )
 
-    # H commutes with sigma iff column sigma(c) holds sigma of column c's rows
-    sym_ok = all(
-        sorted(map(sigma.__getitem__, col)) == sorted(H.columns[sigma[c]])
-        for sigma in (rot, refl)
-        for c, col in enumerate(H.columns)
-    )
     report.add(
         "operator-symmetry",
-        sym_ok,
+        all(H.commutation),
         "matrix commutes with the dihedral permutation action",
     )
 

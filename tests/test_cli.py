@@ -180,6 +180,7 @@ def test_verify_pass_and_report(cache, tmp_path, capsys):
     assert run(["verify", "-n", "4", "--out", str(out)]) == 0
     obj = json.loads(out.read_text())
     assert obj["passed"] is True
+    assert not cache.exists()  # verify caches nothing
     lines = capsys.readouterr().out.splitlines()
     assert any("census-equals-eigenvector" in l for l in lines)
     assert all(l.startswith("[pass]") for l in lines if l.startswith("["))
@@ -233,19 +234,31 @@ def test_unwritable_artifact_path_is_an_error(cache, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", "-n", "3"], ["groundstate", "-n", "3"], ["verify", "-n", "3"],
-], ids=lambda argv: argv[0])
-def test_failed_cache_write_keeps_the_output(tmp_path, monkeypatch, capsys, argv):
+def _unusable_cache(tmp_path, monkeypatch) -> None:
     # a cache root below a regular file can be neither read nor written
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setenv(cli.CACHE_ENV, str(blocker / "cache"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "-n", "3"], ["groundstate", "-n", "3"],
+], ids=lambda argv: argv[0])
+def test_failed_cache_write_keeps_the_output(tmp_path, monkeypatch, capsys, argv):
+    _unusable_cache(tmp_path, monkeypatch)
     out = tmp_path / "artifact"
     assert run(argv + ["--out", str(out)]) == cli.EXIT_OK
     assert out.read_text()
     err = capsys.readouterr().err
     assert err.startswith("warning: ") and err.count("\n") == 1
+
+
+def test_verify_never_touches_the_cache(tmp_path, monkeypatch, capsys):
+    _unusable_cache(tmp_path, monkeypatch)
+    out = tmp_path / "report.json"
+    assert run(["verify", "-n", "3", "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["passed"] is True
+    assert capsys.readouterr().err == ""
 
 
 def test_unversioned_cache_entry_is_a_miss(cache, tmp_path):
@@ -444,8 +457,7 @@ def _numpy_loaded_after(code: str, tmp_path) -> str:
 
 
 def test_cli_import_leaves_numpy_unloaded(tmp_path):
-    # numpy serves only the eigenvector candidate; enumerate, sample and
-    # render must not pay for importing it
+    # numpy is no runtime dependency; importing the package must not load it
     code = "import sys, loopmodel, loopmodel.cli"
     assert _numpy_loaded_after(code, tmp_path) == "False"
 
@@ -457,6 +469,25 @@ def test_enumerate_leaves_numpy_unloaded(tmp_path):
             f"loopmodel.cli.main(['enumerate', '-n', '5', '--out', {str(out)!r}])")
     assert _numpy_loaded_after(code, tmp_path) == "False"
     assert out.read_text().startswith("rank,match_array,count")
+
+
+def test_verify_leaves_numpy_unloaded(tmp_path):
+    # the eigenvector candidate is pure Python: no command loads numpy
+    out = tmp_path / "r5.json"
+    code = ("import sys, loopmodel.cli\n"
+            f"loopmodel.cli.main(['verify', '-n', '5', '--out', {str(out)!r}])")
+    assert _numpy_loaded_after(code, tmp_path) == "False"
+    assert json.loads(out.read_text())["passed"] is True
+
+
+def test_verify_runs_with_numpy_blocked(tmp_path):
+    # numpy stays installed for the benchmark's reference kernel; a None
+    # entry in sys.modules makes any import of it raise ImportError
+    code = ("import sys\nsys.modules['numpy'] = None\n"
+            "from loopmodel import spectra\n"
+            "assert spectra.verify_conjecture(6).passed\n"
+            "assert sys.modules['numpy'] is None")
+    assert _numpy_loaded_after(code, tmp_path) == "True"  # the None entry
 
 
 def test_sample_leaves_numpy_unloaded(tmp_path):

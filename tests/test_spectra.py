@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -192,11 +193,58 @@ def test_perron_vector_with_smallest_component_above_one():
 ])
 def test_flipped_entry_is_not_certified_as_census(change):
     flipped = _changed(spectra.build_hamiltonian(4), change)
+    # {(0, 0): 1} commutes with the reflection alone; with its lumped rows
+    # summed left to right and only the previous iterate compared, the
+    # iterate cycles with period 4 and runs to POWER_MAX_ITER
+    assert spectra._perron_candidate(flipped)[1] < 1000
     try:
         psi = spectra.perron_vector(flipped)
     except ConjectureViolation:
         return
     assert list(psi.components) != CENSUS_N4
+
+
+def test_candidate_stops_when_an_iterate_repeats():
+    # [[0, 2], [1, 0]] sends the all-ones start to (1, 1/2) and back, a
+    # cycle of period 2 that the previous iterate alone never matches
+    M = spectra.SparseIntMatrix(2, [[1], [0, 0]])
+    assert M.commutation == (False, True)
+    assert spectra._perron_candidate(M) == ([1, 1], 2)
+    with pytest.raises(ConjectureViolation, match="no eigenvector"):
+        spectra.perron_vector(M)
+
+
+def test_nilpotent_matrix_fails_the_certificate():
+    # H^2 = 0: the second iterate is zero, and so is the guess
+    M = spectra.SparseIntMatrix(2, [[1], []])
+    assert spectra._perron_candidate(M) == ([0, 0], 2)
+    with pytest.raises(ConjectureViolation, match="nonpositive"):
+        spectra.perron_vector(M)
+
+
+# power-iteration steps of the candidate for the operator-sum matrix
+CANDIDATE_STEPS = {1: 1, 2: 1, 3: 1, 4: 3, 5: 9, 6: 20, 7: 39, 8: 67,
+                   9: 107, 10: 163}
+
+
+@pytest.mark.parametrize("n", sorted(CANDIDATE_STEPS))
+def test_candidate_steps_pinned(n):
+    H = spectra.build_hamiltonian(n)
+    assert H.commutation == (True, True)
+    assert spectra.perron_vector(H).steps == CANDIDATE_STEPS[n]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_shuffled_columns_certify_the_same_vector(n):
+    # the same multisets in another order: the commutation test compares
+    # columns as multisets, so the copy commutes as H does
+    H = spectra.build_hamiltonian(n)
+    rng = random.Random(n)
+    columns = [rng.sample(col, len(col)) for col in H.columns]
+    assert columns != [list(col) for col in H.columns]
+    shuffled = spectra.SparseIntMatrix(n, columns)
+    assert shuffled.commutation == H.commutation == (True, True)
+    assert spectra.perron_vector(shuffled) == spectra.perron_vector(H)
 
 
 def test_verdicts_survive_optimized_mode():
