@@ -165,8 +165,6 @@ def cmd_enumerate(args) -> int:
         _emit(hist.to_csv_text(), args.out)
     elif args.format == "json":
         _emit(json.dumps(hist.to_json_obj(), indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        raise ValueError(f"enumerate cannot write format {args.format!r}")
     return EXIT_OK
 
 
@@ -193,10 +191,8 @@ def cmd_groundstate(args) -> int:
         lines = ["rank,component"]
         lines += [f"{r},{v}" for r, v in enumerate(psi.components)]
         _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "text":
-        _emit(" ".join(str(v) for v in psi.components) + "\n", args.out)
     else:
-        raise ValueError(f"groundstate cannot write format {args.format!r}")
+        _emit(" ".join(str(v) for v in psi.components) + "\n", args.out)
     if args.with_matrix:
         _emit(H.to_coo_text(), args.matrix_out)
     return EXIT_OK
@@ -253,14 +249,12 @@ def cmd_render(args) -> int:
         return EXIT_OK
     if args.n is None:
         raise ValueError("render needs --pattern or -n with --index")
-    it = _fpl.enumerate_states(args.n, max_n=args.max_n)
-    state = None
-    for k, s in enumerate(it):
-        if k == args.index:
-            state = s
-            break
-    if state is None:
+    _pat.check_n(args.n, args.max_n)
+    if not 0 <= args.index < _fpl.asm_count(args.n):
         raise ValueError(f"state index {args.index} out of range for n={args.n}")
+    for k, state in enumerate(_fpl.enumerate_states(args.n, max_n=args.max_n)):
+        if k == args.index:
+            break
     if args.format == "svg":
         _emit(_render.svg_chords(_fpl.link_pattern_of(state)), args.out)
     else:

@@ -65,13 +65,14 @@ a member's new linkage from its own stubs and the row's constant
 tokens, and the new arcs as index pairs into the same tokens; every
 member of the group replays it with its own stub numbers.  A group is
 popped and its buckets released once it is advanced, so one level
-shrinks while the next grows.  Rows 1..n run through one loop.  Row n
-is an ordinary row that keeps only the moves to the all-down mask,
-closes each member's real linkage onto the numbered bottom stubs, and
-keys every result alike, so the last level is one bucket {final arcs:
-multiplicity}; each distinct final value is decoded once, checked to be
-a perfect noncrossing matching, and ranked.  Totals are exact integers throughout.  The sweep is one pass in one
-process, since a level split into slices cannot merge across them.
+shrinks while the next grows.  Rows 1..n are the same step.  Every
+move raises the count of down arrows by one, so every move out of row n
+ends at the all-down mask; one short pass over the last level then
+closes each member's linkage onto the numbered bottom stubs, adds those
+arcs to every entry of its bucket, and checks and ranks each final
+value as a perfect noncrossing matching.  Totals are exact integers
+throughout.  The sweep is one pass in one process, since a level split
+into slices cannot merge across them.
 `enumerate_states` streams the individual states instead and never
 merges.
 """
@@ -363,7 +364,12 @@ class FplState:
     ``grid[r][c]`` (0-based) is the mask of vertex (r+1, c+1).  The
     constructor checks mask validity, agreement of shared edges between
     neighbors, and the numbered-stub boundary rule, so every reachable
-    instance is a genuine state.
+    instance is a genuine state.  The rule is checked on the top and
+    bottom sides only: orient the grid's edges as in the ice model, so
+    every vertex has two arrows in and two out and as many boundary
+    arrows point in as out.  The top and bottom rules make all 2n
+    vertical boundary arrows point out, so all 2n horizontal ones point
+    in, which is the rule on the left and right sides.
     """
 
     n: int
@@ -387,11 +393,6 @@ class FplState:
                 raise ValueError(f"top boundary violated at column {c}")
             if bool(g[n - 1][c - 1] & B) != (_bottom_stub(n, c) is not None):
                 raise ValueError(f"bottom boundary violated at column {c}")
-        for r in range(1, n + 1):
-            if bool(g[r - 1][0] & L) != (_left_stub(n, r) is not None):
-                raise ValueError(f"left boundary violated at row {r}")
-            if bool(g[r - 1][n - 1] & R) != (_right_stub(n, r) is not None):
-                raise ValueError(f"right boundary violated at row {r}")
 
     def shape(self, r: int, c: int) -> int:
         """Shape mask at 1-based (r, c)."""
@@ -547,14 +548,11 @@ def enumerate_states(n: int, max_n: int | None = None):
     """
     _pat.check_n(n, max_n)
     moves = _row_moves(n)
-    full = (1 << n) - 1
     rows: list[tuple[int, ...]] = []
 
     def descend(v: int, r: int):
         parity = r & 1
         for v2, odd, even in moves[v]:
-            if r == n and v2 != full:
-                continue
             rows.append(odd if parity else even)
             if r == n:
                 yield FplState(n, tuple(rows))
@@ -629,12 +627,11 @@ def _census(n: int) -> dict[int, int]:
     member's new frontier from X, and every new arc as an index pair
     into X; each member adds its new arcs to every entry of its bucket.
     Each shape group is popped and released once advanced, so level r
-    shrinks while level r + 1 grows.  Rows 1..n share one loop; row n
-    keeps only the moves to the all-down mask, closes each member's real
-    frontier onto the bottom stubs, and keys every result with an empty
-    frontier, so the last level is the single bucket {final arcs:
-    multiplicity}.  Each distinct final value is decoded once.  Returns
-    a dict rank -> count over final link patterns.
+    shrinks while level r + 1 grows.  Rows 1..n are the same step.
+    After row n every v is the all-down mask, and a last pass closes
+    each member's frontier onto the bottom stubs, adds those arcs to
+    every entry of its bucket and ranks each result.  Returns a dict
+    rank -> count over final link patterns.
     """
     if 2 * n >= 1 << ARC_BITS:
         raise CapacityError(
@@ -642,7 +639,6 @@ def _census(n: int) -> dict[int, int]:
             f"field; the census handles n <= {((1 << ARC_BITS) - 1) // 2}"
         )
     moves = _row_moves(n)
-    full = (1 << n) - 1
     top = 2 * n
     # arc[a][b]: packed value of the arc joining stubs a and b
     arc = [[0] * (top + 1) for _ in range(top + 1)]
@@ -652,7 +648,7 @@ def _census(n: int) -> dict[int, int]:
     F0 = _initial_frontier(n)
     level: dict = {(0, _stubs_marked(F0)): {F0: {0: 1}}}
     for r in range(1, n + 1):
-        parity, last = r & 1, r == n
+        parity = r & 1
         left, right = _row_tokens(n, r)
         # every token a new frontier can hold besides the members' own
         # stubs; a member is replayed on X = its frontier + tail
@@ -667,8 +663,6 @@ def _census(n: int) -> dict[int, int]:
             # the stub at column j becomes the placeholder -(2n + 1 + j)
             Fp = [-top - 1 - j if t == -1 else t for j, t in enumerate(Fs)]
             for v2, odd, even in moves[v]:
-                if last and v2 != full:
-                    continue
                 F = list(Fp)
                 new: list[tuple[int, int]] = []
                 _apply_row(F, odd if parity else even, left, right, new)
@@ -677,16 +671,12 @@ def _census(n: int) -> dict[int, int]:
                 # itemgetter of a single index returns the item itself
                 gather = (itemgetter(*idx) if n > 1
                           else lambda X, i=idx[0]: (X[i],))
-                shape = (full, ()) if last else (v2, _stubs_marked(F))
-                group = nxt.setdefault(shape, {})
+                group = nxt.setdefault((v2, _stubs_marked(F)), {})
                 for X, bucket in members:
                     add = 0
                     for i, j in links:
                         add += arc[-X[i]][-X[j]]
                     F2 = gather(X)
-                    if last:
-                        add += _pack(_bottom_arcs(n, F2))
-                        F2 = ()
                     target = group.get(F2)
                     if target is None:
                         group[F2] = ({p + add: m for p, m in bucket.items()}
@@ -700,9 +690,12 @@ def _census(n: int) -> dict[int, int]:
 
     _, rank_of = _pat._basis(n)
     counts: dict[int, int] = {}
-    for packed, mult in level.get((full, ()), {}).get((), {}).items():
-        rank = _pattern_rank(n, packed, rank_of)
-        counts[rank] = counts.get(rank, 0) + mult
+    for members in level.values():
+        for F, bucket in members.items():
+            add = _pack(_bottom_arcs(n, F))
+            for packed, mult in bucket.items():
+                rank = _pattern_rank(n, packed + add, rank_of)
+                counts[rank] = counts.get(rank, 0) + mult
     return counts
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from loopmodel import cli, fpl, patterns, spectra, stochastic
+from loopmodel import cli, fpl, patterns, render, spectra, stochastic
 
 
 @pytest.fixture()
@@ -128,6 +128,16 @@ def test_groundstate_artifact(cache, tmp_path, capsys):
     assert obj["component_max"] == "7"
     text = capsys.readouterr().out
     assert "component sum 42" in text and "component max 7" in text
+
+
+def test_groundstate_csv_matches_the_json_components(cache, tmp_path):
+    csv, js = tmp_path / "v5.csv", tmp_path / "v5.json"
+    assert run(["groundstate", "-n", "5", "--format", "csv", "--out", str(csv)]) == 0
+    assert run(["groundstate", "-n", "5", "--out", str(js)]) == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "rank,component"
+    assert lines[1:] == [f"{r},{v}" for r, v in
+                         enumerate(json.loads(js.read_text())["components"])]
 
 
 def test_groundstate_caches_only_the_vector(cache, tmp_path):
@@ -444,6 +454,40 @@ def test_render_state_with_asm(cache, capsys):
 def test_render_errors(cache, capsys):
     assert run(["render", "-n", "2", "--index", "99"]) == cli.EXIT_FAIL
     assert run(["render"]) == cli.EXIT_FAIL
+
+
+def test_render_refuses_an_index_before_walking_states(cache, monkeypatch,
+                                                        capsys):
+    real = fpl.enumerate_states
+
+    def no_walk(n, max_n=None):
+        raise AssertionError("the states were walked")
+
+    monkeypatch.setattr(fpl, "enumerate_states", no_walk)
+    for k in ("-1", "429"):  # A_5 = 429
+        assert run(["render", "-n", "5", "--index", k]) == cli.EXIT_FAIL
+        assert capsys.readouterr().err == (
+            f"error: state index {k} out of range for n=5\n")
+    monkeypatch.setattr(fpl, "enumerate_states", real)
+    assert run(["render", "-n", "5", "--index", "428"]) == cli.EXIT_OK
+
+
+def test_render_pattern_text(cache, capsys):
+    assert run(["render", "--pattern", "4 3 2 1"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "(())\n4 3 2 1\n"
+
+
+def test_render_state_svg(cache, capsys):
+    assert run(["render", "-n", "4", "--index", "17", "--format", "svg"]) == 0
+    state = list(fpl.enumerate_states(4))[17]
+    assert capsys.readouterr().out == render.svg_chords(fpl.link_pattern_of(state))
+
+
+def test_sweep_violation_exits_with_a_violation_line(cache, monkeypatch, capsys):
+    real = fpl._row_tokens
+    monkeypatch.setattr(fpl, "_row_tokens", lambda n, r: (real(n, r)[0], None))
+    assert run(["enumerate", "-n", "3", "--no-cache"]) == cli.EXIT_FAIL
+    assert capsys.readouterr().err.startswith("violation: ")
 
 
 def _numpy_loaded_after(code: str, tmp_path) -> str:

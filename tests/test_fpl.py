@@ -9,6 +9,7 @@ routes.
 """
 from __future__ import annotations
 
+import doctest
 import hashlib
 import os
 import re
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from exact_reference import census_per_key, row_shapes
-from loopmodel import fpl, patterns, render
+from loopmodel import fpl, patterns, render, spectra
 from loopmodel.errors import CapacityError, ConjectureViolation
 
 # frozen small-n tallies, rank -> count (derived by the brute-force
@@ -116,6 +117,12 @@ def pattern_by_union_find(state):
     return patterns.LinkPattern.from_pairs([tuple(v) for v in pairs.values()])
 
 
+@pytest.mark.parametrize("module, examples", [(patterns, 6), (fpl, 1)],
+                         ids=["patterns", "fpl"])
+def test_docstring_examples(module, examples):
+    assert doctest.testmod(module) == (0, examples)
+
+
 def test_asm_count_oracle():
     for i, total in enumerate(STATE_TOTALS, start=1):
         assert fpl.asm_count(i) == total
@@ -178,6 +185,15 @@ def test_even_rows_beyond_the_brute_force_range(n):
             assert even == fpl._row_shapes(n, v, v2, 0), (v, v2)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_every_move_adds_one_down_arrow(n):
+    # so after row n every sweep state is the all-down mask, and the
+    # census needs no filter on the moves out of row n
+    for v, row in enumerate(fpl._row_moves(n)):
+        for v2, _, _ in row:
+            assert v2.bit_count() == v.bit_count() + 1, (v, v2)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_bit_parallel_row_shapes_match_per_column_reference(n):
     for v in range(1 << n):
@@ -206,6 +222,23 @@ def test_row_moves_refuse_a_row_with_one_flipped_stub_bit(monkeypatch, bit):
         fpl._row_moves(n)
     assert info.value.check == "census-sweep"
     assert info.value.details == {"n": n, "v": v, "v2": v2, "parity": 1}
+
+
+def test_row_moves_refuse_a_generated_row_the_shapes_reject(monkeypatch):
+    n, v, v2 = 3, 0b101, 0b111
+    real = fpl._row_shapes
+
+    def rejected(n_, v_, v2_, parity):
+        return None if (v_, v2_) == (v, v2) else real(n_, v_, v2_, parity)
+
+    monkeypatch.setattr(fpl, "_row_shapes", rejected)
+    with pytest.raises(ConjectureViolation, match="a generated row is invalid") as info:
+        fpl._row_moves(n)
+    assert info.value.check == "census-sweep"
+    assert info.value.details == {"n": n, "v": v, "v2": v2}
+    rep = spectra.verify_conjecture(n)
+    assert [(c.name, c.passed) for c in rep.checks] == [("census-sweep", False)]
+    assert "a generated row is invalid" in rep.checks[0].details
 
 
 def test_census_matches_per_state_enumeration():
@@ -537,3 +570,43 @@ def test_state_validation_rejects_bad_grids():
     good = next(fpl.enumerate_states(2))
     with pytest.raises(ValueError):
         fpl.FplState(2, tuple(reversed(good.grid)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: fpl.FplState(2, ((5, 5),)), "grid must be n rows of n shape masks"),
+    (lambda: fpl.FplState(1, ((7,),)), "bad shape mask 7 at (1, 1)"),
+    (lambda: fpl.FplState(2, ((3, 3), (3, 3))), "horizontal edge mismatch at (1, 1)"),
+    (lambda: fpl.FplState(1, ((6,),)), "top boundary violated at column 1"),
+    (lambda: fpl.PatternHistogram.from_json_obj({"kind": "fpl-vector"}),
+     "not a histogram object: kind='fpl-vector'"),
+    (lambda: fpl.PatternHistogram.from_json_obj(
+        {"kind": "fpl-histogram", "format_version": 0}),
+     "unsupported format_version 0"),
+], ids=["grid-shape", "mask", "horizontal", "top", "kind", "version"])
+def test_refusal_messages(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_top_and_bottom_rules_force_the_side_rules(n):
+    # every grid whose shared edges agree and whose top and bottom rows
+    # meet the numbered stubs is a state, so FplState need not check the
+    # left and right sides: there are exactly A_n such grids, and each
+    # meets the side rules
+    rows = [row for row in product(sorted(fpl._SHAPES), repeat=n)
+            if all(bool(row[c] & fpl.R) == bool(row[c + 1] & fpl.L)
+                   for c in range(n - 1))]
+    top = tuple(fpl._top_stub(n, c) is not None for c in range(1, n + 1))
+    bottom = tuple(fpl._bottom_stub(n, c) is not None for c in range(1, n + 1))
+    grids = [g for g in product(rows, repeat=n)
+             if tuple(bool(m & fpl.U) for m in g[0]) == top
+             and tuple(bool(m & fpl.B) for m in g[-1]) == bottom
+             and all(bool(a & fpl.B) == bool(b & fpl.U)
+                     for r in range(n - 1) for a, b in zip(g[r], g[r + 1]))]
+    assert len(grids) == fpl.asm_count(n)
+    for g in grids:
+        for r in range(1, n + 1):
+            assert bool(g[r - 1][0] & fpl.L) == (fpl._left_stub(n, r) is not None)
+            assert bool(g[r - 1][-1] & fpl.R) == (fpl._right_stub(n, r) is not None)
+        fpl.FplState(n, g)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,25 @@ def test_rejects_crossings_and_non_involutions():
         LinkPattern(2, (1, 0, 3, 1))  # not an involution
     with pytest.raises(ValueError):
         LinkPattern.from_text("2 1 4")  # odd length
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LinkPattern(0, ()), "need n >= 1, got n=0"),
+    (lambda: LinkPattern(2, (1, 0)), "match length 2 != 2n = 4"),
+    (lambda: LinkPattern.from_pairs([(1, 5), (2, 3)]), "pair (1, 5) out of range 1..4"),
+    (lambda: LinkPattern.from_pairs([(1, 2), (1, 2)]), "pairs do not cover every position"),
+    (lambda: LinkPattern.from_parens("(()"), "odd length parenthesis word '(()'"),
+    (lambda: LinkPattern.from_parens(")("), "unbalanced word ')('"),
+    (lambda: LinkPattern.from_parens("(("), "unbalanced word '(('"),
+    (lambda: LinkPattern.from_parens("(]"), "unexpected character ']' in '(]'"),
+    (lambda: LinkPattern.from_text("2 1").partner(3), "position 3 out of range 1..2"),
+    (lambda: LinkPattern.from_text("2 1").partner(0), "position 0 out of range 1..2"),
+], ids=["n", "length", "pair-range", "pair-cover", "parens-odd",
+        "parens-close", "parens-open", "parens-char", "partner-high",
+        "partner-low"])
+def test_refusal_messages(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_enumerate_sizes_and_canonical_order():

@@ -92,6 +92,14 @@ def test_player_b_worked_example():
         assert st.player_b_probability(2, t) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("player", [st.player_a_probability,
+                                    st.player_b_probability],
+                         ids=["a", "b"])
+def test_players_refuse_a_target_of_another_size(player):
+    with pytest.raises(ValueError, match="target pattern size does not match n"):
+        player(3, patterns.unrank(2, 0))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_players_equal_for_every_target(n):
     hist = fpl.histogram(n)
