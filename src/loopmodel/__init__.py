@@ -26,6 +26,7 @@ from .fpl import (
     enumerate_states,
     histogram,
     link_pattern_of,
+    state_at,
     state_to_asm,
 )
 from .patterns import (
@@ -93,6 +94,7 @@ __all__ = [
     "rotate",
     "sample_stationary",
     "spectral_radius_check",
+    "state_at",
     "state_to_asm",
     "stationary_law",
     "unrank",

@@ -249,12 +249,7 @@ def cmd_render(args) -> int:
         return EXIT_OK
     if args.n is None:
         raise ValueError("render needs --pattern or -n with --index")
-    _pat.check_n(args.n, args.max_n)
-    if not 0 <= args.index < _fpl.asm_count(args.n):
-        raise ValueError(f"state index {args.index} out of range for n={args.n}")
-    for k, state in enumerate(_fpl.enumerate_states(args.n, max_n=args.max_n)):
-        if k == args.index:
-            break
+    state = _fpl.state_at(args.n, args.index, max_n=args.max_n)
     if args.format == "svg":
         _emit(_render.svg_chords(_fpl.link_pattern_of(state)), args.out)
     else:

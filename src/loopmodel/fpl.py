@@ -58,23 +58,28 @@ How a row move rewires a linkage depends only on which slots are
 empty, which column each live slot points to and which slots reach a
 stub, never on the stub numbers.  A level is therefore kept in shape
 groups, a shape being (v, linkage) with every stub token replaced by
-one marker, and each (shape, move) is advanced once, on a linkage whose
-stub at column j carries the placeholder label 2n + 1 + j, above every
-real stub.  That one advance yields the new shape, a gather that builds
-a member's new linkage from its own stubs and the row's constant
-tokens, and the new arcs as index pairs into the same tokens; every
-member of the group replays it with its own stub numbers.  A group is
-popped and its buckets released once it is advanced, so one level
-shrinks while the next grows.  Rows 1..n are the same step.  Every
-move raises the count of down arrows by one, so every move out of row n
-ends at the all-down mask; one short pass over the last level then
-closes each member's linkage onto the numbered bottom stubs, adds those
-arcs to every entry of its bucket, and checks and ranks each final
-value as a perfect noncrossing matching.  Totals are exact integers
-throughout.  The sweep is one pass in one process, since a level split
-into slices cannot merge across them.
-`enumerate_states` streams the individual states instead and never
-merges.
+one marker; the shape says which columns hold stubs, so a member is
+keyed by its stub numbers in column order alone.  Each (shape, move) is
+advanced once, on a linkage whose stub at column j carries the
+placeholder label 2n + 1 + j, above every real stub.  That one advance
+yields the new shape and the move's stub effect: the source of each
+stub of the new linkage in column order (a member's stub, by ordinal,
+or one of the row's own stubs) and the new arcs as pairs of sources.
+Many moves of a group share one effect, so each member's new stub
+numbers and arcs are worked out once per (group, effect), and every
+move with that effect merges the same re-keyed members into its own
+target group.  A group is popped and its buckets released once it is
+advanced, so one level shrinks while the next grows.  Rows 1..n are the
+same step.  Every move raises the count of down arrows by one, so every
+move out of row n ends at the all-down mask; one short pass over the
+last level then rebuilds each member's linkage from its shape and
+stubs, closes it onto the numbered bottom stubs, adds those arcs to
+every entry of its bucket, and checks and ranks each final value as a
+perfect noncrossing matching.  Totals are exact integers throughout.
+The sweep is one pass in one process, since a level split into slices
+cannot merge across them.  `enumerate_states` streams the individual
+states instead and never merges, and `state_at` picks one of them by
+its index from the number of completions below each (row, v).
 """
 from __future__ import annotations
 
@@ -563,6 +568,45 @@ def enumerate_states(n: int, max_n: int | None = None):
     yield from descend(0, 1)
 
 
+def state_at(n: int, k: int, max_n: int | None = None) -> FplState:
+    """The state at index k of enumerate_states(n), without the walk.
+
+    ways(r, v), the number of ways to fill rows r..n below the arrow mask
+    v, is 1 past row n and otherwise the sum of ways(r + 1, v2) over the
+    moves v -> v2; it is counted for the reached (r, v) only.  Unless
+    ways(1, 0) is asm_count(n), ConjectureViolation is raised.  Each row
+    then takes, in the order enumerate_states uses, the move whose block
+    of completions holds index k, and k drops by the blocks it skips.
+    """
+    _pat.check_n(n, max_n)
+    total = asm_count(n)
+    if not 0 <= k < total:
+        raise ValueError(f"state index {k} out of range for n={n}")
+    moves = _row_moves(n)
+
+    @lru_cache(maxsize=None)
+    def ways(r: int, v: int) -> int:
+        return 1 if r > n else sum([ways(r + 1, v2) for v2, _, _ in moves[v]])
+
+    if ways(1, 0) != total:
+        raise ConjectureViolation(
+            f"the row table completes {ways(1, 0)} states, "
+            f"the product formula {total}",
+            {"n": n, "completions": ways(1, 0), "product_formula": total},
+            check="census-sweep",
+        )
+    rows: list[tuple[int, ...]] = []
+    v = 0
+    for r in range(1, n + 1):
+        for v2, odd, even in moves[v]:
+            if k < ways(r + 1, v2):
+                break
+            k -= ways(r + 1, v2)
+        rows.append(odd if r & 1 else even)
+        v = v2
+    return FplState(n, tuple(rows))
+
+
 def _pack(arcs) -> int:
     """Packed value of (a, b) stub arcs with a < b: b in the field of a."""
     packed = 0
@@ -608,30 +652,53 @@ def _pattern_rank(n: int, packed: int, rank_of: dict) -> int:
 
 def _stubs_marked(F) -> tuple:
     """The frontier's shape: every stub token replaced by the marker -1."""
-    return tuple(-1 if t is not None and t < 0 else t for t in F)
+    return tuple([-1 if t is not None and t < 0 else t for t in F])
+
+
+def _rekey(members: list, idx: tuple, links: tuple, arc: list) -> list:
+    """Apply one stub effect to every member of a shape group.
+
+    A member is (X, bucket), X being its stub numbers in column order
+    followed by the row's own stub numbers.  idx picks the new stubs out
+    of X in column order and links holds the new arcs as index pairs
+    into X.  Returns [(new stub tuple, packed arcs to add, bucket)].
+    """
+    # itemgetter of fewer than two indices returns no tuple
+    get = itemgetter(*idx) if len(idx) > 1 else lambda X: tuple([X[i] for i in idx])
+    out = []
+    for X, bucket in members:
+        add = 0
+        for i, j in links:
+            add += arc[X[i]][X[j]]
+        out.append((get(X), add, bucket))
+    return out
 
 
 def _census(n: int) -> dict[int, int]:
     """Run the bucketed sweep from row 1 to completion.
 
     A level maps each frontier shape (v, _stubs_marked(frontier)) to
-    its members {frontier tuple: bucket}, a bucket being {packed arcs:
-    multiplicity}.  How a row move rewires a frontier depends on its
-    shape alone, so each (shape, move) is advanced once by _apply_row,
-    on a frontier whose stub at column j carries the placeholder label
-    2n + 1 + j, above every real stub.  A member is replayed on X, its
-    frontier followed by the row's constant tokens, and one map takes
-    every token of the advanced frontier to its index in X: a
-    placeholder to its column, any other token to its place in the
-    tail.  The advance thus yields the new shape, a gather that builds a
-    member's new frontier from X, and every new arc as an index pair
-    into X; each member adds its new arcs to every entry of its bucket.
-    Each shape group is popped and released once advanced, so level r
-    shrinks while level r + 1 grows.  Rows 1..n are the same step.
-    After row n every v is the all-down mask, and a last pass closes
-    each member's frontier onto the bottom stubs, adds those arcs to
-    every entry of its bucket and ranks each result.  Returns a dict
-    rank -> count over final link patterns.
+    its members {stub numbers in column order: bucket}, a bucket being
+    {packed arcs: multiplicity}; the shape with its markers filled in
+    from the stubs gives back the frontier.  How a row move rewires a
+    frontier depends on its shape alone, so each (shape, move) is
+    advanced once by _apply_row, on a frontier whose stub at column j
+    carries the placeholder label 2n + 1 + j, above every real stub.
+    One map takes each stub label of the advanced frontier to its index
+    in X, a member's stubs followed by the row's own stub numbers: a
+    placeholder to its stub's ordinal, the row's stubs to the tail.
+    The move's stub effect is then the index of every stub slot of the
+    new frontier in column order plus every new arc as an index pair
+    into X.  Each distinct effect of a group re-keys every member once
+    (_rekey: its new stubs and the packed arcs to add), and each move
+    with that effect adds those arcs to every entry of each member's
+    bucket in its own target group.  Each shape group is popped and
+    released once advanced, so level r shrinks while level r + 1 grows.
+    Rows 1..n are the same step.  After row n every v is the all-down
+    mask, and a last pass rebuilds each member's frontier, closes it
+    onto the bottom stubs, adds those arcs to every entry of its bucket
+    and ranks each result.  Returns a dict rank -> count over final
+    link patterns.
     """
     if 2 * n >= 1 << ARC_BITS:
         raise CapacityError(
@@ -646,40 +713,41 @@ def _census(n: int) -> dict[int, int]:
         for b in range(a + 1, top + 1):
             arc[a][b] = arc[b][a] = _pack(((a, b),))
     F0 = _initial_frontier(n)
-    level: dict = {(0, _stubs_marked(F0)): {F0: {0: 1}}}
+    level: dict = {
+        (0, _stubs_marked(F0)): {tuple([-t for t in F0 if t is not None]): {0: 1}}
+    }
     for r in range(1, n + 1):
         parity = r & 1
         left, right = _row_tokens(n, r)
-        # every token a new frontier can hold besides the members' own
-        # stubs; a member is replayed on X = its frontier + tail
-        tail = (None, *range(n + 1), *(() if left is None else (left,)),
-                *(() if right is None else (-right,)))
-        at = {t: n + i for i, t in enumerate(tail)}  # token -> index in X
-        at.update({-top - 1 - j: j for j in range(n)})  # the placeholders
+        # the row's own stub numbers; a member is re-keyed on X = its
+        # stubs + tail
+        tail = (*(() if left is None else (-left,)),
+                *(() if right is None else (right,)))
         nxt: dict = {}
         while level:
             (v, Fs), members = level.popitem()
-            members = [(Ft + tail, bucket) for Ft, bucket in members.items()]
-            # the stub at column j becomes the placeholder -(2n + 1 + j)
+            cols = [j for j, t in enumerate(Fs) if t == -1]
+            # stub label -> index in X: the placeholder 2n + 1 + j of the
+            # stub at column j -> its ordinal, the row's stubs -> the tail
+            at = {top + 1 + j: i for i, j in enumerate(cols)}
+            at.update({s: len(cols) + i for i, s in enumerate(tail)})
+            members = [(S + tail, bucket) for S, bucket in members.items()]
             Fp = [-top - 1 - j if t == -1 else t for j, t in enumerate(Fs)]
+            effects: dict = {}  # stub effect -> its re-keyed members
             for v2, odd, even in moves[v]:
                 F = list(Fp)
                 new: list[tuple[int, int]] = []
                 _apply_row(F, odd if parity else even, left, right, new)
-                links = [(at[-a], at[-b]) for a, b in new]
-                idx = [at[t] for t in F]
-                # itemgetter of a single index returns the item itself
-                gather = (itemgetter(*idx) if n > 1
-                          else lambda X, i=idx[0]: (X[i],))
+                effect = (tuple([at[-t] for t in F if t is not None and t < 0]),
+                          tuple([(at[a], at[b]) for a, b in new]))
+                rekeyed = effects.get(effect)
+                if rekeyed is None:
+                    rekeyed = effects[effect] = _rekey(members, *effect, arc)
                 group = nxt.setdefault((v2, _stubs_marked(F)), {})
-                for X, bucket in members:
-                    add = 0
-                    for i, j in links:
-                        add += arc[-X[i]][-X[j]]
-                    F2 = gather(X)
-                    target = group.get(F2)
+                for S2, add, bucket in rekeyed:
+                    target = group.get(S2)
                     if target is None:
-                        group[F2] = ({p + add: m for p, m in bucket.items()}
+                        group[S2] = ({p + add: m for p, m in bucket.items()}
                                      if add else bucket.copy())
                     else:
                         get = target.get
@@ -690,8 +758,12 @@ def _census(n: int) -> dict[int, int]:
 
     _, rank_of = _pat._basis(n)
     counts: dict[int, int] = {}
-    for members in level.values():
-        for F, bucket in members.items():
+    for (_, Fs), members in level.items():
+        cols = [j for j, t in enumerate(Fs) if t == -1]
+        for S, bucket in members.items():
+            F = list(Fs)
+            for j, s in zip(cols, S):
+                F[j] = -s
             add = _pack(_bottom_arcs(n, F))
             for packed, mult in bucket.items():
                 rank = _pattern_rank(n, packed + add, rank_of)

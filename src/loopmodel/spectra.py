@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import fsum
-from operator import mul
+from operator import itemgetter, mul
 
 from . import fpl as _fpl
 from . import patterns as _pat
@@ -91,16 +91,29 @@ class SparseIntMatrix:
         It commutes with a permutation sigma iff column sigma(c) holds
         sigma of column c's rows, as multisets.  Checked once per
         matrix, and only on the pattern basis (dim = Catalan(n)); any
-        other matrix commutes with neither.
+        other matrix commutes with neither.  In the hop table the
+        operators map along with the patterns, so column sigma(c) is
+        sigma of column c read in a fixed operator order: shifted by one
+        for the rotation (operator a to a + 1), reversed around 2n - 1
+        for the reflection (a to (2n - 2 - a) mod 2n).  Each column is
+        compared in that order first, and sorted only when that fails.
         """
         if self.dim != _pat.catalan(self.n):
             return False, False
-        cols = self.columns
-        return tuple(
-            all(sorted(map(sigma.__getitem__, col)) == sorted(cols[sigma[c]])
-                for c, col in enumerate(cols))
-            for sigma in (_pat.rotation_permutation(self.n),
-                          _pat.reflection_permutation(self.n)))
+        cols, m = self.columns, 2 * self.n
+
+        def commutes(sigma, order) -> bool:
+            pick, look = itemgetter(*order), sigma.__getitem__
+            for c, col in enumerate(cols):
+                other = cols[sigma[c]]
+                if ((len(col) != m or tuple(map(look, pick(col))) != other)
+                        and sorted(map(look, col)) != sorted(other)):
+                    return False
+            return True
+
+        return (commutes(_pat.rotation_permutation(self.n), [m - 1, *range(m - 1)]),
+                commutes(_pat.reflection_permutation(self.n),
+                         [*range(m - 2, -1, -1), m - 1]))
 
     def get(self, r: int, c: int) -> int:
         return self.columns[c].count(r)

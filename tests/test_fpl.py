@@ -10,6 +10,7 @@ routes.
 from __future__ import annotations
 
 import doctest
+import functools
 import hashlib
 import os
 import re
@@ -42,6 +43,12 @@ CSV_N7_SHA256 = "d81971c2fc2e4390c9f8b39342528255cd9273334e649b5ded5b29292a50283
 # sha256 of histogram(8).to_csv_text(), pinned from the census with a
 # separate block for the last row that the one row loop replaced
 CSV_N8_SHA256 = "4985d9035c9200dd904a4b01423805f77f2f706e8cfbbdbb87bff0de142b4ed4"
+
+# sha256 of histogram(9).to_csv_text(), the census artifact the benchmark
+# gate pins, and of histogram(10).to_csv_text(), both written by the
+# census that replayed every (member, move) pair
+CSV_N9_SHA256 = "6ab1c4ab70b81fa7710c7346a7381aa2e72c2985b7b47b90582bafece015f451"
+CSV_N10_SHA256 = "469d352eb2e1ca0184b8ce0f2353ad2c21638010546af2309bdf58327067b46e"
 
 # sha256 of asm_stream_text over enumerate_states(n), pinned from the
 # state_to_asm that compared all four arrows against two fixed tuples
@@ -277,6 +284,22 @@ def test_census_advances_each_shape_once(monkeypatch):
     assert (shape_advances, len(calls)) == (3090, 10156)
 
 
+def test_census_rekeys_members_once_per_stub_effect(monkeypatch):
+    # a member's new stubs and arcs are worked out once per (group, stub
+    # effect) instead of once per (group, move): 4,373 re-keys against
+    # the 10,156 replays of the per-key sweep at n = 7
+    rekeyed = []
+    real = fpl._rekey
+
+    def counted(members, *args):
+        rekeyed.append(len(members))
+        return real(members, *args)
+
+    monkeypatch.setattr(fpl, "_rekey", counted)
+    assert fpl._census(7) == census_per_key(7)
+    assert sum(rekeyed) == 4373
+
+
 def _stub_numbers_named(exc):
     """Every integer in the message and every packed arc field."""
     named = [int(k) for k in re.findall(r"\d+", str(exc))]
@@ -325,6 +348,18 @@ def test_histogram_csv_n8_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == CSV_N8_SHA256
 
 
+@pytest.mark.slow
+def test_histogram_csv_n9_pinned():
+    text = fpl.histogram(9).to_csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == CSV_N9_SHA256
+
+
+@pytest.mark.long
+def test_histogram_csv_n10_pinned():
+    text = fpl.histogram(10).to_csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == CSV_N10_SHA256
+
+
 def test_packed_arcs_decode():
     n, rank_of = 3, patterns._basis(3)[1]
 
@@ -371,6 +406,33 @@ def test_histogram_total_n8():
     hist = fpl.histogram(8)
     assert hist.total() == 10850216
     assert max(hist.counts.values()) == 218348
+
+
+def test_state_at_matches_enumeration(monkeypatch):
+    # state_at skips whole subtrees by their completion counts; it must
+    # land where the depth-first walk of enumerate_states does
+    monkeypatch.setattr(fpl, "_row_moves", functools.lru_cache(fpl._row_moves))
+    for n in range(1, 7):
+        states = list(fpl.enumerate_states(n))
+        assert [fpl.state_at(n, k) for k in range(len(states))] == states
+    for k in (-1, 42):
+        with pytest.raises(ValueError, match=f"state index {k} out of range"):
+            fpl.state_at(4, k)
+
+
+def test_state_at_refuses_a_row_table_that_miscounts(monkeypatch):
+    real = fpl._row_moves
+
+    def one_move_dropped(n):
+        moves = real(n)
+        moves[0].pop()
+        return moves
+
+    monkeypatch.setattr(fpl, "_row_moves", one_move_dropped)
+    with pytest.raises(ConjectureViolation, match="product formula 42") as info:
+        fpl.state_at(4, 0)
+    assert info.value.check == "census-sweep"
+    assert info.value.details["completions"] < 42
 
 
 def test_asm_state_round_trip():

@@ -234,6 +234,26 @@ def test_candidate_steps_pinned(n):
     assert spectra.perron_vector(H).steps == CANDIDATE_STEPS[n]
 
 
+def test_hop_table_commutes_without_sorting(monkeypatch):
+    # every column of the hop table maps onto its image column in a fixed
+    # operator order, so no column is sorted; with each column reversed
+    # the copy needs the multiset comparison and commutes alike
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a column was sorted")
+
+    for n in range(1, 9):
+        H = spectra.build_hamiltonian(n)
+        monkeypatch.setattr(spectra, "sorted", no_sort, raising=False)
+        assert H.commutation == (True, True)
+        monkeypatch.undo()
+    reversed_columns = spectra.SparseIntMatrix(n, [col[::-1] for col in H.columns])
+    monkeypatch.setattr(spectra, "sorted", no_sort, raising=False)
+    with pytest.raises(AssertionError, match="sorted"):
+        reversed_columns.commutation
+    monkeypatch.undo()
+    assert reversed_columns.commutation == (True, True)
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_shuffled_columns_certify_the_same_vector(n):
     # the same multisets in another order: the commutation test compares
