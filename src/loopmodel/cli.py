@@ -28,7 +28,6 @@ message names the ceiling and how to raise it).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -71,6 +70,8 @@ def cache_store(n: int, name: str, payload: dict) -> Path:
     Written beside the target and moved in by os.replace, so readers
     never see a partial file; a failed write leaves no temporary file.
     """
+    import hashlib  # here, not at module level: loading it costs ~3 MB RSS
+
     body = _canonical(payload)
     obj = {"sha256": hashlib.sha256(body.encode()).hexdigest(), "payload": payload}
     text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
@@ -87,6 +88,8 @@ def cache_store(n: int, name: str, payload: dict) -> Path:
 
 def cache_load(n: int, name: str) -> dict | None:
     """Read a cached payload; None when absent, corrupt, or mismatched."""
+    import hashlib
+
     path = _cache_path(n, name)
     try:
         obj = json.loads(path.read_text())

@@ -641,7 +641,7 @@ def _pattern_rank(n: int, packed: int, rank_of: dict) -> int:
             "the final arcs do not cover every stub exactly once",
             {"n": n, "packed_arcs": packed}, check="census-sweep",
         )
-    rank = rank_of.get(tuple(m))
+    rank = rank_of.get(bytes(m))
     if rank is None:
         raise ConjectureViolation(
             "the final arcs form a crossing matching",

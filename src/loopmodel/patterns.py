@@ -3,16 +3,20 @@
 A link pattern is a perfect matching of the positions 1..2n, drawn as
 chords of a disk, in which no two chords cross.  Positions are numbered
 clockwise; position labels in every public string form are 1-based.
-Internally a pattern is stored as a 0-based ``match`` tuple, where
-``match[i]`` is the partner of position ``i``; the tuple is a
-fixed-point-free involution and the noncrossing condition reads: there
-are no a < b < c < d with ``match[a] == c`` and ``match[b] == d``.
+A ``LinkPattern`` stores a 0-based ``match`` tuple, where ``match[i]``
+is the partner of position ``i``; the tuple is a fixed-point-free
+involution and the noncrossing condition reads: there are no
+a < b < c < d with ``match[a] == c`` and ``match[b] == d``.  The
+per-n basis behind ranking holds the same matchings as 2n-byte
+``bytes`` objects (byte i is ``match[i]``), which take less memory
+than tuples and let the symmetry maps relabel a whole matching with
+one ``bytes.translate``; 2n must therefore fit in a byte.
 
 The canonical ordering of the Catalan(n) patterns of a given size is
-lexicographic on the match tuple.  Ranks are positions in that ordering
-and are stable across runs and platforms; every tabulated quantity in
-this package (census counts, matrix rows, probability vectors) is
-indexed by them.
+lexicographic on the match tuple, which is also the order of the basis
+bytes.  Ranks are positions in that ordering and are stable across runs
+and platforms; every tabulated quantity in this package (census counts,
+matrix rows, probability vectors) is indexed by them.
 
 The elementary rewiring operators act cyclically: ``apply_h(i, p)``
 joins positions i and i+1 (position 2n+1 meaning position 1).  If they
@@ -25,10 +29,11 @@ operator-sum matrix, the preimage sums, the game probabilities and the
 Markov chain all read it.
 Rewiring commutes with rotation, so only one pattern per rotation orbit
 is rewired and the orbit's other rows are relabelled copies.  Every
-rewired, rotated or reflected match tuple is looked up in the basis
-index, and that lookup is its validity check: only noncrossing
-matchings are keys.  ``rotate`` and ``reflect`` stay as the
-definition-direct references, as ``apply_h`` does beside ``_rewire``.
+rewired, rotated or reflected basis matching stays in bytes and is
+looked up in the basis index, and that lookup is its validity check:
+only noncrossing matchings are keys.  ``rotate`` and ``reflect`` stay
+as the definition-direct references, as ``apply_h`` does beside
+``_rewire``.  ``LinkPattern.match`` stays the public tuple form.
 """
 from __future__ import annotations
 
@@ -44,7 +49,7 @@ from .errors import CapacityError
 # the ceiling; code handed a per-n object (a pattern, a census) trusts
 # its n.  On a 2-vCPU Xeon VM `enumerate -n 10` takes 7.6 s with 71 MB,
 # `enumerate -n 11` 50-57 s with 230 MB and `enumerate -n 12` 353 s
-# with 1.0 GB; `groundstate -n 11` takes 2.4 s with 74 MB.
+# with 1.0 GB; `groundstate -n 11` takes 2.2-3.0 s with 62 MB.
 MAX_N = 10
 
 
@@ -92,6 +97,9 @@ class LinkPattern:
             raise ValueError(f"need n >= 1, got n={self.n}")
         if len(m) != size:
             raise ValueError(f"match length {len(m)} != 2n = {size}")
+        if _noncrossing_involution(m, size):
+            return
+        # The two scans below only word the refusal.
         for i, j in enumerate(m):
             if not 0 <= j < size or j == i or m[j] != i:
                 raise ValueError(
@@ -197,6 +205,28 @@ class LinkPattern:
         return self.to_text()
 
 
+def _noncrossing_involution(m, size: int) -> bool:
+    """Whether m is a noncrossing fixed-point-free involution, in one scan.
+
+    An opener's partner lies below size and points back; a closer's
+    partner is the opener on top of the stack.  Indexing m[j] at a
+    closer too keeps a non-int entry equal to an int (0.0) from passing;
+    a TypeError means refusal, so LinkPattern's own scans raise it.
+    """
+    stack: list[int] = []
+    try:
+        for i, j in enumerate(m):
+            if j > i:
+                if j >= size or m[j] != i:
+                    return False
+                stack.append(i)
+            elif not stack or stack.pop() != j or m[j] != i:
+                return False
+    except TypeError:
+        return False
+    return True
+
+
 def match_text(match: tuple[int, ...]) -> str:
     """The 1-based match array form of a 0-based match tuple."""
     return " ".join(str(j + 1) for j in match)
@@ -224,16 +254,21 @@ def apply_h(i: int, p: LinkPattern) -> LinkPattern:
     return p if m is p.match else LinkPattern(p.n, m)
 
 
-def _rewire(m: tuple[int, ...], a: int) -> tuple[int, ...]:
-    """m with 0-based positions a, a+1 (cyclically) joined; m itself if already so."""
+def _rewire(m, a: int):
+    """m with 0-based positions a, a+1 (cyclically) joined; m itself if already so.
+
+    m is a match tuple or a basis bytes object, and the result has its
+    type.  Bytes are copied into a bytearray; a tuple into a list, since
+    a LinkPattern may be larger than the basis (n > MAX_BASIS_N).
+    """
     b = (a + 1) % len(m)
     if m[a] == b:
         return m
     j, k = m[a], m[b]
-    new = list(m)
+    new = bytearray(m) if type(m) is bytes else list(m)
     new[a], new[b] = b, a
     new[j], new[k] = k, j
-    return tuple(new)
+    return type(m)(new)
 
 
 def rotate(p: LinkPattern) -> LinkPattern:
@@ -259,35 +294,51 @@ def reflect(p: LinkPattern) -> LinkPattern:
 # -- canonical basis, ranking -----------------------------------------
 
 
-def _lex_matchings(n: int) -> list[tuple[int, ...]]:
-    """Match tuples of the noncrossing matchings of 2n positions, in lex order.
+def _shift(s: int) -> bytes:
+    """bytes.translate table adding s to every byte (mod 256)."""
+    return bytes(range(s, 256)) + bytes(range(s))
+
+
+def _lex_matchings(n: int) -> list[bytes]:
+    """The noncrossing matchings of 2n positions as match bytes, in lex order.
 
     Built from a table indexed by chord count h: position 0 pairs with
     k = 2j + 1, the inner block 1..k-1 holds a j-chord matching shifted
-    by 1 and the outer block k+1.. an (h-1-j)-chord one shifted by k+1.
-    Ascending k, then inner, then outer is lexicographic order, and the
-    halves match independently, so no chords cross.
+    by 1 and the outer block k+1.. an (h-1-j)-chord one shifted by k+1,
+    each shift one bytes.translate.  Ascending k, then inner, then
+    outer is lexicographic order, and the halves match independently,
+    so no chords cross.
     """
-    table: list[list[tuple[int, ...]]] = [[()]]
+    table: list[list[bytes]] = [[b""]]
+    inner = _shift(1)
     for h in range(1, n + 1):
         rows = []
         for j in range(h):
             k = 2 * j + 1
-            inner = [tuple(x + 1 for x in m) for m in table[j]]
-            outer = [tuple(x + k + 1 for x in m) for m in table[h - 1 - j]]
-            rows += [(k, *a, 0, *b) for a in inner for b in outer]
+            outer = _shift(k + 1)
+            heads = [bytes([k]) + m.translate(inner) + b"\0" for m in table[j]]
+            tails = [m.translate(outer) for m in table[h - 1 - j]]
+            rows += [a + b for a in heads for b in tails]
         table.append(rows)
     return table[n]
 
 
-@lru_cache(maxsize=8)
-def _basis(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """(match tuples in lex order, match tuple -> rank).
+# The basis stores each position's partner in one byte, so 2n <= 255.
+MAX_BASIS_N = 127
 
-    Raw tuples only: the census ranks its final matchings and the hop
+
+@lru_cache(maxsize=8)
+def _basis(n: int) -> tuple[tuple[bytes, ...], dict[bytes, int]]:
+    """(match bytes in lex order, match bytes -> rank).
+
+    Raw bytes only: the census ranks its final matchings and the hop
     table rewires them without a LinkPattern, and the public views
-    below build validated patterns on demand.
+    below build validated patterns, with tuple matches, on demand.
     """
+    if n > MAX_BASIS_N:
+        raise CapacityError(
+            f"n={n}: the byte-packed pattern basis handles n <= {MAX_BASIS_N}"
+        )
     arrays = tuple(_lex_matchings(n))
     return arrays, {m: r for r, m in enumerate(arrays)}
 
@@ -295,12 +346,12 @@ def _basis(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], i
 def enumerate_patterns(n: int, max_n: int | None = None) -> list[LinkPattern]:
     """All noncrossing patterns of size n in canonical (ranked) order."""
     check_n(n, max_n)
-    return [LinkPattern(n, m) for m in _basis(n)[0]]
+    return [LinkPattern(n, tuple(m)) for m in _basis(n)[0]]
 
 
 def rank(p: LinkPattern) -> int:
     """Position of p in the canonical ordering (0-based, stable)."""
-    return _basis(p.n)[1][p.match]
+    return _basis(p.n)[1][bytes(p.match)]
 
 
 def unrank(n: int, r: int) -> LinkPattern:
@@ -313,21 +364,31 @@ def _match_of(n: int, r: int) -> tuple[int, ...]:
     arrays = _basis(n)[0]
     if not 0 <= r < len(arrays):
         raise ValueError(f"rank {r} out of range 0..{len(arrays) - 1}")
-    return arrays[r]
+    return tuple(arrays[r])
 
 
 @lru_cache(maxsize=8)
 def rotation_permutation(n: int) -> tuple[int, ...]:
-    """sigma[r] = rank(rotate(unrank(n, r))), via new[j] = m[j-1] + 1 mod 2n."""
-    index, succ = _basis(n)[1], (*range(1, 2 * n), 0)
-    return tuple(index[tuple(map(succ.__getitem__, m[-1:] + m[:-1]))] for m in index)
+    """sigma[r] = rank(rotate(unrank(n, r))), via new[j] = m[j-1] + 1 mod 2n.
+
+    Each basis matching is rotated as a slice and relabelled with one
+    bytes.translate, then looked up in the basis index.
+    """
+    index, size = _basis(n)[1], 2 * n
+    succ = bytes(range(1, size)) + b"\0" + bytes(range(size, 256))
+    return tuple([index[(m[-1:] + m[:-1]).translate(succ)] for m in index])
 
 
 @lru_cache(maxsize=8)
 def reflection_permutation(n: int) -> tuple[int, ...]:
-    """sigma[r] = rank(reflect(unrank(n, r))), via new[j] = 2n-1 - m[2n-1-j]."""
-    index, mirror = _basis(n)[1], tuple(range(2 * n - 1, -1, -1))
-    return tuple(index[tuple(map(mirror.__getitem__, m[::-1]))] for m in index)
+    """sigma[r] = rank(reflect(unrank(n, r))), via new[j] = 2n-1 - m[2n-1-j].
+
+    Each basis matching is reversed as a slice and relabelled with one
+    bytes.translate, then looked up in the basis index.
+    """
+    index, size = _basis(n)[1], 2 * n
+    mirror = bytes(range(size - 1, -1, -1)) + bytes(range(size, 256))
+    return tuple([index[m[::-1].translate(mirror)] for m in index])
 
 
 @lru_cache(maxsize=8)
@@ -337,7 +398,7 @@ def hop_table(n: int) -> tuple[tuple[int, ...], ...]:
     Since apply_h(i+1, rotate(p)) = rotate(apply_h(i, p)), i cyclic,
     the next row of an orbit is the previous one shifted one column and
     mapped through rotation_permutation; only each orbit's first row is
-    rewired on raw match tuples and looked up in the basis index.
+    rewired on the basis bytes and looked up in the basis index.
     """
     index = _basis(n)[1]
     rot = rotation_permutation(n)

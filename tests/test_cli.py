@@ -544,6 +544,23 @@ def test_sample_leaves_numpy_unloaded(tmp_path):
     assert out.exists()
 
 
+def test_hashlib_loads_only_on_the_cache_path(tmp_path):
+    # -S: no site hook imports hashlib before the commands run
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), LOOPMODEL_CACHE=str(tmp_path))
+    code = ("import sys\nfrom loopmodel import cli\n"
+            "cli.main(['verify', '-n', '5', '--out', 'r5.json'])\n"
+            "cli.main(['sample', '-n', '4', '--no-compare', '--out', 's4.json'])\n"
+            "before = 'hashlib' in sys.modules\n"
+            "cli.main(['enumerate', '-n', '5', '--out', 'h5.csv'])\n"
+            "print(before, 'hashlib' in sys.modules,"
+            " cli.cache_load(5, 'histogram')['total'])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False True 429"
+
+
 def test_entry_point_exists():
     """The `loopmodel` console script is declared and resolves to cli.main.
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 
 import pytest
@@ -60,6 +61,45 @@ def test_refusal_messages(build, message):
         build()
 
 
+def _two_scan_verdict(m) -> bool:
+    """The involution scan, then the crossing stack scan, as separate loops."""
+    size = len(m)
+    for i, j in enumerate(m):
+        if not 0 <= j < size or j == i or m[j] != i:
+            return False
+    stack = []
+    for i, j in enumerate(m):
+        if j > i:
+            stack.append(i)
+        elif not stack or stack.pop() != j:
+            return False
+    return True
+
+
+def test_one_pass_validation_matches_the_two_scans():
+    cases = [m for n in (1, 2)
+             for m in itertools.product(range(-1, 2 * n + 1), repeat=2 * n)]
+    cases += [m for n in (1, 2, 3, 4)
+              for m in itertools.permutations(range(2 * n))]
+    for m in cases:
+        verdict = _two_scan_verdict(m)
+        assert pat._noncrossing_involution(m, len(m)) == verdict, m
+        try:
+            LinkPattern(len(m) // 2, m)
+        except ValueError:
+            assert not verdict, m
+        else:
+            assert verdict, m
+
+
+def test_non_int_entries_still_raise_type_error():
+    # 0.0 == 0, so only indexing with it tells it apart from a partner
+    with pytest.raises(TypeError):
+        LinkPattern(1, (1, 0.0))
+    with pytest.raises(TypeError):
+        LinkPattern(1, (1.0, 0))
+
+
 def test_enumerate_sizes_and_canonical_order():
     for n in range(1, 7):
         basis = pat.enumerate_patterns(n)
@@ -83,6 +123,35 @@ BASIS_SHA256 = {
 def test_basis_order_pinned(n):
     text = "\n".join(p.to_text() for p in pat.enumerate_patterns(n)) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == BASIS_SHA256[n]
+
+
+def test_basis_holds_sorted_match_bytes():
+    for n in range(1, 9):
+        arrays = pat._basis(n)[0]
+        assert len(arrays) == pat.catalan(n)
+        assert all(type(m) is bytes and len(m) == 2 * n for m in arrays)
+        assert all(a < b for a, b in zip(arrays, arrays[1:]))
+    with pytest.raises(CapacityError, match=f"n <= {pat.MAX_BASIS_N}"):
+        pat._basis(pat.MAX_BASIS_N + 1)
+
+
+@pytest.fixture
+def crossing_rank_zero_at_n3(monkeypatch):
+    real = pat._lex_matchings
+    crossing = bytes([2, 3, 0, 1, 5, 4])  # chords (1, 3) and (2, 4) cross
+    monkeypatch.setattr(pat, "_lex_matchings",
+                        lambda n: [crossing, *real(n)[1:]] if n == 3 else real(n))
+    pat._basis.cache_clear()
+    yield
+    monkeypatch.undo()
+    pat._basis.cache_clear()
+
+
+def test_crossing_matching_in_the_basis_is_refused(crossing_rank_zero_at_n3):
+    with pytest.raises(ValueError, match="chords cross"):
+        pat.enumerate_patterns(3)
+    with pytest.raises(ValueError, match="chords cross"):
+        pat.unrank(3, 0)
 
 
 def test_rank_unrank_round_trip():
@@ -163,6 +232,14 @@ def test_apply_h_identity_and_rewiring():
     # cyclic index: position 2n pairs with position 1
     r = apply_h(4, p)
     assert r.to_text() == "4 3 2 1"
+
+
+def test_apply_h_beyond_the_byte_basis():
+    # 258 positions: partners no longer fit in the basis bytes
+    p = LinkPattern.from_parens("()" * (pat.MAX_BASIS_N + 2))
+    q = apply_h(2, p)
+    assert (q.partner(1), q.partner(2)) == (4, 3)
+    assert q.match[4:] == p.match[4:]
 
 
 def test_apply_h_index_range():

@@ -51,6 +51,14 @@ def test_tracer_sees_the_sampler_layers(tmp_path):
     assert "patterns.apply_h" in trace["counts"]
 
 
+def test_tracer_reports_the_sampler_basis_size(tmp_path):
+    # run.py reports this span's size as patterns.basis_size
+    trace = traced(tmp_path, "sample", "-n", "4", "--no-compare",
+                   "--samples", "1000", "--workers", "1")
+    basis = spans(trace, "patterns.enumerate_patterns")
+    assert [s["size"] for s in basis] == [14]
+
+
 def test_tracer_sees_the_verify_layers(tmp_path):
     trace = traced(tmp_path, "verify", "-n", "4", "--workers", "1", "--no-cache")
     build = spans(trace, "spectra.build_hamiltonian")
