@@ -88,11 +88,11 @@ def cache_store(n: int, name: str, payload: dict) -> Path:
 
 def cache_load(n: int, name: str) -> dict | None:
     """Read a cached payload; None when absent, corrupt, or mismatched."""
-    import hashlib
-
     path = _cache_path(n, name)
     try:
         obj = json.loads(path.read_text())
+        import hashlib  # only once an entry is read, so a miss never loads it
+
         payload = obj["payload"]
         if (not isinstance(payload, dict)
                 or hashlib.sha256(_canonical(payload).encode()).hexdigest() != obj["sha256"]):

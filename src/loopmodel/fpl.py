@@ -10,10 +10,11 @@ boundary vertex on each open side.  A state selects a subset of edges
 such that every internal vertex lies on exactly two selected edges.
 Walking the boundary stubs clockwise from the top-left corner stub and
 numbering every other stub 1, 2, ..., 2n, a state must occupy all the
-numbered stubs and none of the unnumbered ones.  Selected edges then
-form n open paths joining the numbered stubs in pairs (plus closed
-loops in the interior, which are allowed); the pairing of stub numbers
-is the state's boundary link pattern, a noncrossing matching.
+numbered stubs and none of the unnumbered ones (stub_positions lists
+them).  Selected edges then form n open paths joining the numbered
+stubs in pairs (plus closed loops in the interior, which are allowed);
+the pairing of stub numbers is the state's boundary link pattern, a
+noncrossing matching.
 
 Each internal vertex is summarized by a 4-bit shape mask over its
 selected edge directions (U=1, L=2, B=4, R=8); exactly two bits are
@@ -119,45 +120,25 @@ def asm_count(n: int) -> int:
     return num // den
 
 
-# -- boundary stub numbering ------------------------------------------
-#
-# Clockwise stub slots from the top-left corner: top row left-to-right
-# (cols 1..n), right side top-to-bottom (rows 1..n), bottom row
-# right-to-left, left side bottom-to-top.  Numbered = every other slot
-# starting with the first.
+@lru_cache(maxsize=8)
+def stub_positions(n: int) -> dict[int, tuple[str, int]]:
+    """Map stub number -> (side, index); side in "TRBL", index 1-based.
 
-
-def _top_stub(n: int, c: int) -> int | None:
-    return (c + 1) // 2 if c % 2 == 1 else None
-
-
-def _right_stub(n: int, r: int) -> int | None:
-    return (n + r + 1) // 2 if (n + r) % 2 == 1 else None
-
-
-def _bottom_stub(n: int, c: int) -> int | None:
-    return (3 * n - c) // 2 + 1 if (n + c) % 2 == 0 else None
-
-
-def _left_stub(n: int, r: int) -> int | None:
-    return 2 * n + 1 - r // 2 if r % 2 == 0 else None
+    The 4n stub slots walked clockwise from the top-left corner: top row
+    left to right (cols 1..n), right side top to bottom (rows 1..n),
+    bottom row right to left, left side bottom to top.  Every other slot
+    is numbered, starting with the first.
+    """
+    up, down = range(1, n + 1), range(n, 0, -1)
+    sides = (("T", up), ("R", up), ("B", down), ("L", down))
+    walk = [(side, k) for side, ks in sides for k in ks]
+    return dict(enumerate(walk[::2], 1))
 
 
 @lru_cache(maxsize=8)
-def stub_positions(n: int) -> dict[int, tuple[str, int]]:
-    """Map stub number -> (side, index); side in "TRBL", index 1-based."""
-    out: dict[int, tuple[str, int]] = {}
-    for c in range(1, n + 1):
-        if (s := _top_stub(n, c)) is not None:
-            out[s] = ("T", c)
-        if (s := _bottom_stub(n, c)) is not None:
-            out[s] = ("B", c)
-    for r in range(1, n + 1):
-        if (s := _right_stub(n, r)) is not None:
-            out[s] = ("R", r)
-        if (s := _left_stub(n, r)) is not None:
-            out[s] = ("L", r)
-    return out
+def _stub_at(n: int) -> dict[tuple[str, int], int]:
+    """Inverse of stub_positions: (side, index) -> stub number."""
+    return {pos: num for num, pos in stub_positions(n).items()}
 
 
 # -- row transition table ----------------------------------------------
@@ -226,8 +207,9 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
     shapes must place boundary edges exactly on the numbered stubs.  The
     check runs on the row packed one byte per column, as four integer
     comparisons: the U and B bytes against the spread checkerboard words
-    for v and v2 (so top stubs sit on odd columns), no L bit in column 1
-    and an R bit in column n iff n is even.  A row that breaks either
+    for v and v2 (so top stubs sit on odd columns), and the L bit of
+    column 1 and the R bit of column n against the numbered stubs of
+    row 1, which stands for every odd row.  A row that breaks either
     raises ConjectureViolation, also under python -O.  _row_shapes runs
     at odd parity only: flipping the checkerboard parity negates all
     four bit conditions, so the even row is the packed odd row xor
@@ -240,7 +222,9 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
     flip, rbit = 15 * ones, 8 * n - 5
     full = (1 << n) - 1
     P = 0xAAAA & full  # columns j with r + j + 1 odd in an odd row r
-    up, down, right = spread[P ^ full], spread[P], (n + 1) & 1
+    up, down = spread[P ^ full], spread[P]
+    at = _stub_at(n)
+    left, right = ("L", 1) in at, ("R", 1) in at
     moves: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = []
     for v in range(1 << n):
         partial = [(v, 1)]  # (v2 so far, arrow entering the next column)
@@ -258,7 +242,7 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
                 )
             word = int.from_bytes(odd, "little")
             if (word & ones != sv ^ up or word >> 2 & ones != spread[v2] ^ down
-                    or word & 2 or word >> rbit & 1 != right):
+                    or word >> 1 & 1 != left or word >> rbit & 1 != right):
                 raise ConjectureViolation(
                     "row shapes break the numbered-stub parity convention",
                     {"n": n, "v": v, "v2": v2, "parity": 1},
@@ -275,7 +259,8 @@ def _initial_frontier(n: int) -> tuple:
     Token convention used throughout the sweep: None = no live edge,
     j >= 0 = live edge at column j (0-based), -k = numbered stub k.
     """
-    return tuple(None if (s := _top_stub(n, j + 1)) is None else -s
+    at = _stub_at(n)
+    return tuple(None if (s := at.get(("T", j + 1))) is None else -s
                  for j in range(n))
 
 
@@ -344,19 +329,20 @@ def _apply_row(F: list, shapes: tuple[int, ...], pend, right_stub: int | None,
 
 def _bottom_arcs(n: int, F) -> list[tuple[int, int]]:
     """Close the frontier onto the numbered bottom stubs after row n."""
-    arcs = []
+    at, arcs = _stub_at(n), []
     for j, t in enumerate(F):
         if t is not None and (t < 0 or t > j):  # each column pair once
-            s = _bottom_stub(n, j + 1)
-            u = -t if t < 0 else _bottom_stub(n, t + 1)
+            s = at[("B", j + 1)]
+            u = -t if t < 0 else at[("B", t + 1)]
             arcs.append((s, u) if s < u else (u, s))
     return arcs
 
 
 def _row_tokens(n: int, r: int) -> tuple[int | None, int | None]:
     """(left stub token, right stub number) for 1-based row r."""
-    left = _left_stub(n, r)
-    return (None if left is None else -left), _right_stub(n, r)
+    at = _stub_at(n)
+    left = at.get(("L", r))
+    return (None if left is None else -left), at.get(("R", r))
 
 
 # -- states and matrices ------------------------------------------------
@@ -393,10 +379,11 @@ class FplState:
                     raise ValueError(f"horizontal edge mismatch at {(r + 1, c + 1)}")
                 if r + 1 < n and bool(m & B) != bool(g[r + 1][c] & U):
                     raise ValueError(f"vertical edge mismatch at {(r + 1, c + 1)}")
+        at = _stub_at(n)
         for c in range(1, n + 1):
-            if bool(g[0][c - 1] & U) != (_top_stub(n, c) is not None):
+            if bool(g[0][c - 1] & U) != (("T", c) in at):
                 raise ValueError(f"top boundary violated at column {c}")
-            if bool(g[n - 1][c - 1] & B) != (_bottom_stub(n, c) is not None):
+            if bool(g[n - 1][c - 1] & B) != (("B", c) in at):
                 raise ValueError(f"bottom boundary violated at column {c}")
 
     def shape(self, r: int, c: int) -> int:
@@ -506,8 +493,7 @@ def link_pattern_of(state: FplState) -> LinkPattern:
     each other.  Malformed connectivity raises ValueError.
     """
     n = state.n
-    positions = stub_positions(n)
-    number_at = {pos: num for num, pos in positions.items()}
+    positions, number_at = stub_positions(n), _stub_at(n)
     entry_of = {"T": U, "B": B, "L": L, "R": R}
     step = {U: (-1, 0, B), B: (1, 0, U), L: (0, -1, R), R: (0, 1, L)}
     side_at = {U: "T", B: "B", L: "L", R: "R"}

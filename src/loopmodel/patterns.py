@@ -47,9 +47,8 @@ from .errors import CapacityError
 # from n alone (census, state stream, basis, operator, sampler, chain
 # checks) calls check_n first, and its max_n, the CLI's --max-n, lifts
 # the ceiling; code handed a per-n object (a pattern, a census) trusts
-# its n.  On a 2-vCPU Xeon VM `enumerate -n 10` takes 7.6 s with 71 MB,
-# `enumerate -n 11` 50-57 s with 230 MB and `enumerate -n 12` 353 s
-# with 1.0 GB; `groundstate -n 11` takes 2.2-3.0 s with 62 MB.
+# its n.  The table in the README's Capacity section gives the time
+# and peak memory of the largest commands.
 MAX_N = 10
 
 

@@ -44,8 +44,6 @@ def ascii_state(state: FplState) -> str:
     n = state.n
     x0, y0 = 5, 2  # left margin fits 2-digit labels plus stub dashes
     canvas = _Canvas()
-    pos = _fpl.stub_positions(n)
-    labels = {(side, idx): num for num, (side, idx) in pos.items()}
 
     for r in range(n):
         for c in range(n):
@@ -64,7 +62,7 @@ def ascii_state(state: FplState) -> str:
             if m & R and c == n - 1:
                 canvas.put(y, x + 1, "--")
 
-    for (side, idx), num in labels.items():
+    for num, (side, idx) in _fpl.stub_positions(n).items():
         text = str(num)
         y = y0 + 2 * (idx - 1)
         x = x0 + 4 * (idx - 1)

@@ -295,7 +295,7 @@ def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
     # n is admitted before any census work; as the first basis call,
     # this one's span in perfbench times the basis build
     _pat.enumerate_patterns(n, max_n)
-    exact = stationary_law(n, max_n=max_n) if compare else None
+    hist = _fpl.histogram(n, max_n=max_n) if compare else None
     dim = _pat.catalan(n)
     counts = [0] * dim
     per = [samples // chains] * chains
@@ -310,11 +310,14 @@ def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
     tol = default_tv_tolerance(n, samples) if tolerance is None else tolerance
     tv = None
     passed = None
-    if exact is not None:
-        emp = PatternDistribution(
-            n, {r: Fraction(c, samples) for r, c in enumerate(counts) if c}
-        )
-        tv = float(emp.tv_distance(exact))
+    if hist is not None:
+        # the exact TV distance, sum |c/N - h/A| / 2 over N samples and
+        # A states, kept in integers; int / int rounds correctly, as
+        # float(Fraction) does, so the float is the one the law gives
+        total = hist.total()
+        diff = sum([abs(c * total - hist.count(r) * samples)
+                    for r, c in enumerate(counts)])
+        tv = diff / (2 * samples * total)
         passed = tv <= tol
     return SamplerReport(
         n, seed, burn_in, samples, chains, tuple(counts), tol, tv, passed

@@ -13,6 +13,10 @@ The per-column row shapes walk one row column by column; the tests
 compare the bit-parallel fpl._row_shapes with them for every (v, v2,
 parity) up to n = 7 and build the brute-force row-move table from
 them.
+
+The closed-form stub numbers give each side's numbered stubs by
+arithmetic; the tests compare the clockwise walk of fpl.stub_positions
+with them.
 """
 from __future__ import annotations
 
@@ -21,6 +25,22 @@ from fractions import Fraction
 
 from loopmodel import fpl, patterns
 from loopmodel.errors import ConjectureViolation
+
+
+def top_stub(n: int, c: int) -> int | None:
+    return (c + 1) // 2 if c % 2 == 1 else None
+
+
+def right_stub(n: int, r: int) -> int | None:
+    return (n + r + 1) // 2 if (n + r) % 2 == 1 else None
+
+
+def bottom_stub(n: int, c: int) -> int | None:
+    return (3 * n - c) // 2 + 1 if (n + c) % 2 == 0 else None
+
+
+def left_stub(n: int, r: int) -> int | None:
+    return 2 * n + 1 - r // 2 if r % 2 == 0 else None
 
 
 def row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | None:

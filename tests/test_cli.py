@@ -552,13 +552,19 @@ def test_hashlib_loads_only_on_the_cache_path(tmp_path):
             "cli.main(['verify', '-n', '5', '--out', 'r5.json'])\n"
             "cli.main(['sample', '-n', '4', '--no-compare', '--out', 's4.json'])\n"
             "before = 'hashlib' in sys.modules\n"
+            "real, seen = cli._fpl._census, []\n"
+            "cli._fpl._census = lambda n: ("
+            "seen.append('hashlib' in sys.modules) or real(n))\n"
             "cli.main(['enumerate', '-n', '5', '--out', 'h5.csv'])\n"
+            "print('census with hashlib:', seen)\n"
             "print(before, 'hashlib' in sys.modules,"
             " cli.cache_load(5, 'histogram')['total'])")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False True 429"
+    # a cache miss must not load hashlib under the census peak
+    assert proc.stdout.splitlines()[-2:] == ["census with hashlib: [False]",
+                                             "False True 429"]
 
 
 def test_entry_point_exists():

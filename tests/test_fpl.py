@@ -22,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from exact_reference import census_per_key, row_shapes
+from exact_reference import (bottom_stub, census_per_key, left_stub, right_stub,
+                             row_shapes, top_stub)
 from loopmodel import fpl, patterns, render, spectra
 from loopmodel.errors import CapacityError, ConjectureViolation
 
@@ -210,18 +211,25 @@ def test_bit_parallel_row_shapes_match_per_column_reference(n):
                         == row_shapes(n, v, v2, parity)), (v, v2, parity)
 
 
-@pytest.mark.parametrize("bit", [fpl.U, fpl.B], ids=["U", "B"])
-def test_row_moves_refuse_a_row_with_one_flipped_stub_bit(monkeypatch, bit):
-    # the packed convention check must compare the U word and the B word;
-    # flipping one such bit in column 2 of one row touches neither the L
-    # bit of column 1 nor the R bit of column n
-    n, v, v2 = 3, 0b101, 0b111
+@pytest.mark.parametrize("n, v, v2, col, bit", [
+    (3, 0b101, 0b111, 2, fpl.U),
+    (3, 0b101, 0b111, 2, fpl.B),
+    (3, 0b101, 0b111, 1, fpl.L),
+    (3, 0b101, 0b111, 3, fpl.R),
+    (4, 0b0101, 0b0111, 4, fpl.R),
+], ids=["U", "B", "L", "R-odd-n", "R-even-n"])
+def test_row_moves_refuse_a_row_with_one_flipped_stub_bit(monkeypatch, n, v, v2,
+                                                          col, bit):
+    # the packed convention check must compare the U word and the B word,
+    # the L bit of column 1 and the R bit of column n: flipping one U or B
+    # bit in column 2 touches neither side bit, and a side stub at an odd
+    # row is absent on the left and present on the right iff n is even
     real = fpl._row_shapes
 
     def corrupted(n_, v_, v2_, parity):
         shapes = real(n_, v_, v2_, parity)
         if (v_, v2_) == (v, v2):
-            shapes = (shapes[0], shapes[1] ^ bit, *shapes[2:])
+            shapes = (*shapes[:col - 1], shapes[col - 1] ^ bit, *shapes[col:])
         return shapes
 
     monkeypatch.setattr(fpl, "_row_shapes", corrupted)
@@ -515,7 +523,7 @@ def test_row_words_refuse_a_row_beyond_their_width():
 
 
 @pytest.mark.parametrize("table", [
-    fpl._spread, fpl.stub_positions, patterns._basis,
+    fpl._spread, fpl.stub_positions, fpl._stub_at, patterns._basis,
 ], ids=lambda table: table.__name__)
 def test_per_n_caches_are_bounded(table):
     # a process that visits many n keeps at most eight n's tables
@@ -626,6 +634,16 @@ def test_stub_positions_clockwise():
         assert sorted(fpl.stub_positions(n)) == list(range(1, 2 * n + 1))
 
 
+def test_stub_walk_matches_the_closed_forms():
+    # the clockwise walk against one arithmetic formula per side
+    forms = {"T": top_stub, "R": right_stub, "B": bottom_stub, "L": left_stub}
+    for n in range(1, 17):
+        expected = {(side, k): s for side, form in forms.items()
+                    for k in range(1, n + 1) if (s := form(n, k)) is not None}
+        assert fpl._stub_at(n) == expected
+        assert fpl.stub_positions(n) == {s: pos for pos, s in expected.items()}
+
+
 def test_state_validation_rejects_bad_grids():
     with pytest.raises(ValueError):
         fpl.FplState(1, ((3,),))  # n=1 vertex must join top and bottom stubs
@@ -659,8 +677,9 @@ def test_top_and_bottom_rules_force_the_side_rules(n):
     rows = [row for row in product(sorted(fpl._SHAPES), repeat=n)
             if all(bool(row[c] & fpl.R) == bool(row[c + 1] & fpl.L)
                    for c in range(n - 1))]
-    top = tuple(fpl._top_stub(n, c) is not None for c in range(1, n + 1))
-    bottom = tuple(fpl._bottom_stub(n, c) is not None for c in range(1, n + 1))
+    at = fpl._stub_at(n)
+    top = tuple(("T", c) in at for c in range(1, n + 1))
+    bottom = tuple(("B", c) in at for c in range(1, n + 1))
     grids = [g for g in product(rows, repeat=n)
              if tuple(bool(m & fpl.U) for m in g[0]) == top
              and tuple(bool(m & fpl.B) for m in g[-1]) == bottom
@@ -669,6 +688,6 @@ def test_top_and_bottom_rules_force_the_side_rules(n):
     assert len(grids) == fpl.asm_count(n)
     for g in grids:
         for r in range(1, n + 1):
-            assert bool(g[r - 1][0] & fpl.L) == (fpl._left_stub(n, r) is not None)
-            assert bool(g[r - 1][-1] & fpl.R) == (fpl._right_stub(n, r) is not None)
+            assert bool(g[r - 1][0] & fpl.L) == (("L", r) in at)
+            assert bool(g[r - 1][-1] & fpl.R) == (("R", r) in at)
         fpl.FplState(n, g)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -250,6 +251,28 @@ def test_sampler_report_json():
 def test_sampler_without_comparison():
     rep = st.sample_stationary(2, burn_in=10, samples=100, seed=1, compare=False)
     assert rep.tv_distance is None and rep.passed is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sampler_tv_matches_the_exact_law(monkeypatch, n):
+    # the sampler compares in integers; the Fraction route is the reference
+    rng = random.Random(n)
+
+    def random_counts(n_, burn_in, samples, seed, counts):
+        cuts = sorted(rng.randrange(samples + 1) for _ in counts[1:])
+        for r, (a, b) in enumerate(zip([0, *cuts], [*cuts, samples])):
+            counts[r] += b - a
+
+    monkeypatch.setattr(st, "_run_chain", random_counts)
+    law = st.stationary_law(n)
+    for _ in range(20):
+        samples = rng.choice([1, 7, rng.randrange(1, 10**6),
+                              rng.randrange(1, 10**12)])
+        rep = st.sample_stationary(n, samples=samples, seed=0,
+                                   chains=rng.randrange(1, 4))
+        emp = st.PatternDistribution(
+            n, {r: Fraction(c, samples) for r, c in enumerate(rep.counts) if c})
+        assert rep.tv_distance == float(emp.tv_distance(law))
 
 
 def test_default_tolerance_shape():
