@@ -137,25 +137,25 @@ def _cached_histogram(n: int) -> _fpl.PatternHistogram | None:
     return hist
 
 
-def _histogram(args) -> _fpl.PatternHistogram:
-    """Census via cache unless disabled; stores fresh results.
+def _histogram(n: int, max_n: int | None, cache: bool = True) -> _fpl.PatternHistogram:
+    """Census via the cache when cache is set; stores fresh results.
 
     n is checked against the ceiling first, so a cached census never
     lets a refused n through.
     """
-    _pat.check_n(args.n, args.max_n)
-    if not args.no_cache:
-        hist = _cached_histogram(args.n)
+    _pat.check_n(n, max_n)
+    if cache:
+        hist = _cached_histogram(n)
         if hist is not None:
             return hist
-    hist = _fpl.histogram(args.n, max_n=args.max_n)
-    if not args.no_cache:
-        _store(args.n, "histogram", hist.to_json_obj())
+    hist = _fpl.histogram(n, max_n=max_n)
+    if cache:
+        _store(n, "histogram", hist.to_json_obj())
     return hist
 
 
 def cmd_enumerate(args) -> int:
-    hist = _histogram(args)
+    hist = _histogram(args.n, args.max_n, not args.no_cache)
     dim = _pat.catalan(args.n)
     print(f"n={args.n}: {hist.total()} states over {dim} patterns")
     rows = sorted(hist.counts)
@@ -216,7 +216,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    compare = not args.no_compare
+    compare = not args.no_compare and _histogram  # the census via the cache
     rep = _st.sample_stationary(
         args.n,
         burn_in=args.burn_in,

@@ -41,15 +41,16 @@ horizontal arrows of a row as a prefix xor of its flips and each of the
 four shape bits as one n-bit word, spread to one byte per column, and
 `_row_moves` checks the convention on that packed odd row with a few
 integer comparisons.  The even row is the odd one with all four bits
-flipped, so a check at even parity would restate the odd one.
+flipped, so a check at even parity would restate the odd one, and the
+table stores per v the sorted v2 values and one bytes of their odd
+rows, n bytes a move; `_moves_from` flips an even row as it reads it.
 
 The census keeps, along the sweep, a frontier linkage: for every live
 vertical edge crossing the sweep line, the far end of its open path
 (another live column or an already-reached numbered stub), plus the set
 of completed stub-stub arcs.  The future of a sweep state depends only
-on (v, linkage); the arcs only ride along.  A level therefore maps
-(v, linkage) to a bucket {arcs: multiplicity}, and the arcs a row
-completes are added to every entry of the bucket.  An arcs set is
+on (v, linkage); the arcs only ride along, and the arcs a row completes
+are added to every entry that shares its (v, linkage).  An arcs set is
 packed into one integer: the smaller stub a of each arc holds its
 partner b in an ARC_BITS-wide field at bit ARC_BITS * (a - 1).  A
 disjoint union is then integer addition, and equal sets pack to equal
@@ -59,35 +60,36 @@ How a row move rewires a linkage depends only on which slots are
 empty, which column each live slot points to and which slots reach a
 stub, never on the stub numbers.  A level is therefore kept in shape
 groups, a shape being (v, linkage) with every stub token replaced by
-one marker; the shape says which columns hold stubs, so a member is
-keyed by its stub numbers in column order alone.  Each (shape, move) is
-advanced once, on a linkage whose stub at column j carries the
-placeholder label 2n + 1 + j, above every real stub.  That one advance
-yields the new shape and the move's stub effect: the source of each
-stub of the new linkage in column order (a member's stub, by ordinal,
-or one of the row's own stubs) and the new arcs as pairs of sources.
-Many moves of a group share one effect, so each member's new stub
-numbers and arcs are worked out once per (group, effect), and every
-move with that effect merges the same re-keyed members into its own
-target group.  A group is popped and its buckets released once it is
-advanced, so one level shrinks while the next grows.  Rows 1..n are the
-same step.  Every move raises the count of down arrows by one, so every
-move out of row n ends at the all-down mask; one short pass over the
-last level then rebuilds each member's linkage from its shape and
-stubs, closes it onto the numbered bottom stubs, adds those arcs to
-every entry of its bucket, and checks and ranks each final value as a
-perfect noncrossing matching.  Totals are exact integers throughout.
-The sweep is one pass in one process, since a level split into slices
-cannot merge across them.  `enumerate_states` streams the individual
-states instead and never merges, and `state_at` picks one of them by
-its index from the number of completions below each (row, v).
+one marker, so a member is its stub numbers in column order alone.  A
+level numbers its members' stub tuples, and a group is one flat dict
+{stub code << ARC_BITS * 2n | packed arcs: multiplicity}, with no dict
+per member.  Each (shape, move) is advanced once, on a linkage whose
+stub at column j carries the placeholder label 2n + 1 + j, above every
+real stub.  That yields the new shape and the move's stub effect: the
+source of each new stub in column order (a member's stub, by ordinal,
+or one of the row's own) and the new arcs as pairs of sources.  Many
+moves of a group share one effect, so a popped group is regrouped by
+code once, its entries are re-keyed once per effect into one dict, and
+each move with that effect merges that dict into its target group by
+one dict.update.  A group is released once advanced, so one level
+shrinks while the next grows.  Rows 1..n are the same step.  Every
+move raises the count of down arrows by one, so every move out of row
+n ends at the all-down mask; one short pass over the last level then
+rebuilds each member's linkage, closes it onto the numbered bottom
+stubs and checks and ranks each final value as a perfect noncrossing
+matching.  Totals are exact integers throughout.  The sweep is one
+pass in one process, since a level split into slices cannot merge
+across them.  `enumerate_states` streams the individual states instead
+and never merges, and `state_at` picks one of them by its index from
+the number of completions below each (row, v).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter
 
 from . import patterns as _pat
 from .errors import CapacityError, ConjectureViolation
@@ -196,8 +198,8 @@ def _row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | N
     return tuple(packed.to_bytes(n, "little"))
 
 
-def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]]:
-    """moves[v] = sorted list of (v2, shapes for odd rows, for even rows).
+def _row_moves(n: int) -> list[tuple[tuple[int, ...], bytes]]:
+    """moves[v] = (sorted v2 values, their odd rows as one bytes).
 
     The valid v2 are generated from the alternating-flip rule: the
     horizontal arrow enters at 1, a column may flip only when its bit
@@ -210,30 +212,31 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
     for v and v2 (so top stubs sit on odd columns), and the L bit of
     column 1 and the R bit of column n against the numbered stubs of
     row 1, which stands for every odd row.  A row that breaks either
-    raises ConjectureViolation, also under python -O.  _row_shapes runs
-    at odd parity only: flipping the checkerboard parity negates all
-    four bit conditions, so the even row is the packed odd row xor
-    0x0F...0F, and its check would restate the odd one.  The table is
-    not cached: the census frees it with its sweep (about 30 MB at
-    n = 11), so the spectral side of a verify run does not stack on it.
+    raises ConjectureViolation, also under python -O.  Flipping the
+    checkerboard parity negates all four bit conditions, so an even row
+    is its odd one with each byte xor 0x0F, which _moves_from applies
+    on reading, and its check would restate the odd one.  Move i of v
+    is bytes n*i .. n*i + n - 1: 39 B a move with its v2 at n = 9, 4.5
+    MB at n = 11.  The census frees the uncached table with its sweep.
     """
     spread = _spread(n)
     ones = spread[-1]  # 0x01 in every column's byte
-    flip, rbit = 15 * ones, 8 * n - 5
+    rbit = 8 * n - 5
     full = (1 << n) - 1
     P = 0xAAAA & full  # columns j with r + j + 1 odd in an odd row r
     up, down = spread[P ^ full], spread[P]
     at = _stub_at(n)
     left, right = ("L", 1) in at, ("R", 1) in at
-    moves: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = []
+    moves: list[tuple[tuple[int, ...], bytes]] = []
     for v in range(1 << n):
         partial = [(v, 1)]  # (v2 so far, arrow entering the next column)
         for j in range(n):
             a = (v >> j) & 1
             partial += [(w ^ (1 << j), a) for w, l in partial if l != a]
-        row = []
+        v2s = tuple(sorted(w for w, l in partial if l == 0))
+        rows = bytearray()
         sv = spread[v]
-        for v2 in sorted(w for w, l in partial if l == 0):
+        for v2 in v2s:
             odd = _row_shapes(n, v, v2, 1)
             if odd is None:
                 raise ConjectureViolation(
@@ -248,9 +251,20 @@ def _row_moves(n: int) -> list[list[tuple[int, tuple[int, ...], tuple[int, ...]]
                     {"n": n, "v": v, "v2": v2, "parity": 1},
                     check="census-sweep",
                 )
-            row.append((v2, odd, tuple((word ^ flip).to_bytes(n, "little"))))
-        moves.append(row)
+            rows.extend(odd)
+        moves.append((v2s, bytes(rows)))
     return moves
+
+
+_EVEN = bytes(b ^ 15 for b in range(256))  # a shape mask at the other parity
+
+
+def _moves_from(moves: list, n: int, v: int, parity: int) -> zip:
+    """(v2, shape masks as n bytes) of every move out of v, in order."""
+    v2s, rows = moves[v]
+    if not parity:
+        rows = rows.translate(_EVEN)
+    return zip(v2s, [rows[i:i + n] for i in range(0, len(rows), n)])
 
 
 def _initial_frontier(n: int) -> tuple:
@@ -542,9 +556,8 @@ def enumerate_states(n: int, max_n: int | None = None):
     rows: list[tuple[int, ...]] = []
 
     def descend(v: int, r: int):
-        parity = r & 1
-        for v2, odd, even in moves[v]:
-            rows.append(odd if parity else even)
+        for v2, shapes in _moves_from(moves, n, v, r & 1):
+            rows.append(tuple(shapes))
             if r == n:
                 yield FplState(n, tuple(rows))
             else:
@@ -572,7 +585,7 @@ def state_at(n: int, k: int, max_n: int | None = None) -> FplState:
 
     @lru_cache(maxsize=None)
     def ways(r: int, v: int) -> int:
-        return 1 if r > n else sum([ways(r + 1, v2) for v2, _, _ in moves[v]])
+        return 1 if r > n else sum([ways(r + 1, v2) for v2 in moves[v][0]])
 
     if ways(1, 0) != total:
         raise ConjectureViolation(
@@ -584,11 +597,11 @@ def state_at(n: int, k: int, max_n: int | None = None) -> FplState:
     rows: list[tuple[int, ...]] = []
     v = 0
     for r in range(1, n + 1):
-        for v2, odd, even in moves[v]:
+        for v2, shapes in _moves_from(moves, n, v, r & 1):
             if k < ways(r + 1, v2):
                 break
             k -= ways(r + 1, v2)
-        rows.append(odd if r & 1 else even)
+        rows.append(tuple(shapes))
         v = v2
     return FplState(n, tuple(rows))
 
@@ -641,50 +654,55 @@ def _stubs_marked(F) -> tuple:
     return tuple([-1 if t is not None and t < 0 else t for t in F])
 
 
-def _rekey(members: list, idx: tuple, links: tuple, arc: list) -> list:
+def _by_code(group: dict, shift: int) -> dict:
+    """A flat shape group regrouped as {stub code: {packed arcs: count}}."""
+    mask, out = (1 << shift) - 1, {}
+    for key, mult in group.items():
+        out.setdefault(key >> shift, {})[key & mask] = mult
+    return out
+
+
+def _rekey(members: list, idx: tuple, links: tuple, arc: list, codes: dict,
+           shift: int) -> dict:
     """Apply one stub effect to every member of a shape group.
 
     A member is (X, bucket), X being its stub numbers in column order
     followed by the row's own stub numbers.  idx picks the new stubs out
     of X in column order and links holds the new arcs as index pairs
-    into X.  Returns [(new stub tuple, packed arcs to add, bucket)].
+    into X.  codes numbers the next level's stub tuples.  Returns the
+    re-keyed entries {code of the new stubs << shift | packed arcs:
+    multiplicity}; members whose entries meet on one key are summed.
     """
     # itemgetter of fewer than two indices returns no tuple
     get = itemgetter(*idx) if len(idx) > 1 else lambda X: tuple([X[i] for i in idx])
-    out = []
+    out: dict = {}
+    count = out.get
     for X, bucket in members:
-        add = 0
+        base = codes.setdefault(get(X), len(codes)) << shift
         for i, j in links:
-            add += arc[X[i]][X[j]]
-        out.append((get(X), add, bucket))
+            base += arc[X[i]][X[j]]
+        for packed, mult in bucket.items():
+            packed += base
+            out[packed] = count(packed, 0) + mult
     return out
 
 
 def _census(n: int) -> dict[int, int]:
-    """Run the bucketed sweep from row 1 to completion.
+    """Run the shape-group sweep from row 1 to completion.
 
-    A level maps each frontier shape (v, _stubs_marked(frontier)) to
-    its members {stub numbers in column order: bucket}, a bucket being
-    {packed arcs: multiplicity}; the shape with its markers filled in
-    from the stubs gives back the frontier.  How a row move rewires a
-    frontier depends on its shape alone, so each (shape, move) is
-    advanced once by _apply_row, on a frontier whose stub at column j
-    carries the placeholder label 2n + 1 + j, above every real stub.
-    One map takes each stub label of the advanced frontier to its index
-    in X, a member's stubs followed by the row's own stub numbers: a
-    placeholder to its stub's ordinal, the row's stubs to the tail.
-    The move's stub effect is then the index of every stub slot of the
-    new frontier in column order plus every new arc as an index pair
-    into X.  Each distinct effect of a group re-keys every member once
-    (_rekey: its new stubs and the packed arcs to add), and each move
-    with that effect adds those arcs to every entry of each member's
-    bucket in its own target group.  Each shape group is popped and
-    released once advanced, so level r shrinks while level r + 1 grows.
-    Rows 1..n are the same step.  After row n every v is the all-down
-    mask, and a last pass rebuilds each member's frontier, closes it
-    onto the bottom stubs, adds those arcs to every entry of its bucket
-    and ranks each result.  Returns a dict rank -> count over final
-    link patterns.
+    A level maps each frontier shape (v, _stubs_marked(frontier)) to one
+    flat dict {stub code << ARC_BITS * 2n | packed arcs: multiplicity},
+    the code indexing the level's list of member stub tuples.  A popped
+    group is regrouped by code once (_by_code), and each (shape, move)
+    is advanced once by _apply_row on placeholder stub labels; a map
+    from those labels to indices into X, a member's stubs followed by
+    the row's own stub numbers, turns the advance into the move's stub
+    effect (see the module docstring).  _rekey builds each distinct
+    effect's dict once, and each move with that effect merges it into
+    its target group in one dict.update, exact because a dict's keys
+    are distinct; a new target starts as a copy, never as that dict.  A
+    last pass closes each member onto the bottom stubs and ranks each
+    entry.  Returns a dict rank -> count over final link patterns.
     """
     if 2 * n >= 1 << ARC_BITS:
         raise CapacityError(
@@ -693,66 +711,64 @@ def _census(n: int) -> dict[int, int]:
         )
     moves = _row_moves(n)
     top = 2 * n
+    shift = ARC_BITS * top  # a key's stub code sits above its packed arcs
     # arc[a][b]: packed value of the arc joining stubs a and b
     arc = [[0] * (top + 1) for _ in range(top + 1)]
     for a in range(1, top + 1):
         for b in range(a + 1, top + 1):
             arc[a][b] = arc[b][a] = _pack(((a, b),))
     F0 = _initial_frontier(n)
-    level: dict = {
-        (0, _stubs_marked(F0)): {tuple([-t for t in F0 if t is not None]): {0: 1}}
-    }
+    level: dict = {(0, _stubs_marked(F0)): {0: 1}}
+    stubs = [tuple([-t for t in F0 if t is not None])]  # code -> stub tuple
     for r in range(1, n + 1):
-        parity = r & 1
         left, right = _row_tokens(n, r)
         # the row's own stub numbers; a member is re-keyed on X = its
         # stubs + tail
         tail = (*(() if left is None else (-left,)),
                 *(() if right is None else (right,)))
         nxt: dict = {}
+        codes: dict = {}  # stub tuple of level r + 1 -> its code
         while level:
             (v, Fs), members = level.popitem()
+            members = [(stubs[code] + tail, bucket)
+                       for code, bucket in _by_code(members, shift).items()]
             cols = [j for j, t in enumerate(Fs) if t == -1]
             # stub label -> index in X: the placeholder 2n + 1 + j of the
             # stub at column j -> its ordinal, the row's stubs -> the tail
             at = {top + 1 + j: i for i, j in enumerate(cols)}
             at.update({s: len(cols) + i for i, s in enumerate(tail)})
-            members = [(S + tail, bucket) for S, bucket in members.items()]
             Fp = [-top - 1 - j if t == -1 else t for j, t in enumerate(Fs)]
-            effects: dict = {}  # stub effect -> its re-keyed members
-            for v2, odd, even in moves[v]:
+            targets: dict = {}  # stub effect -> the target shapes of its moves
+            for v2, shapes in _moves_from(moves, n, v, r & 1):
                 F = list(Fp)
                 new: list[tuple[int, int]] = []
-                _apply_row(F, odd if parity else even, left, right, new)
+                _apply_row(F, shapes, left, right, new)
                 effect = (tuple([at[-t] for t in F if t is not None and t < 0]),
                           tuple([(at[a], at[b]) for a, b in new]))
-                rekeyed = effects.get(effect)
-                if rekeyed is None:
-                    rekeyed = effects[effect] = _rekey(members, *effect, arc)
-                group = nxt.setdefault((v2, _stubs_marked(F)), {})
-                for S2, add, bucket in rekeyed:
-                    target = group.get(S2)
-                    if target is None:
-                        group[S2] = ({p + add: m for p, m in bucket.items()}
-                                     if add else bucket.copy())
+                targets.setdefault(effect, []).append((v2, _stubs_marked(F)))
+            for effect, shapes in targets.items():
+                entries = _rekey(members, *effect, arc, codes, shift)
+                for shape in shapes:
+                    target = nxt.get(shape)
+                    if target is None:  # a copy: other moves merge it too
+                        nxt[shape] = entries.copy()
                     else:
-                        get = target.get
-                        for p, m in bucket.items():
-                            p += add
-                            target[p] = get(p, 0) + m
-        level = nxt
+                        target.update(zip(entries, map(
+                            add, map(target.get, entries, repeat(0)),
+                            entries.values())))
+        level, stubs = nxt, list(codes)
 
     _, rank_of = _pat._basis(n)
     counts: dict[int, int] = {}
-    for (_, Fs), members in level.items():
+    for (_, Fs), group in level.items():
         cols = [j for j, t in enumerate(Fs) if t == -1]
-        for S, bucket in members.items():
+        for code, bucket in _by_code(group, shift).items():
             F = list(Fs)
-            for j, s in zip(cols, S):
+            for j, s in zip(cols, stubs[code]):
                 F[j] = -s
-            add = _pack(_bottom_arcs(n, F))
+            closing = _pack(_bottom_arcs(n, F))
             for packed, mult in bucket.items():
-                rank = _pattern_rank(n, packed + add, rank_of)
+                rank = _pattern_rank(n, packed + closing, rank_of)
                 counts[rank] = counts.get(rank, 0) + mult
     return counts
 

@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -271,7 +272,7 @@ def default_tv_tolerance(n: int, samples: int) -> float:
 def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
                       seed: int = 0, chains: int = 1,
                       max_n: int | None = None,
-                      compare: bool = True,
+                      compare: bool | Callable[..., _fpl.PatternHistogram] = True,
                       tolerance: float | None = None) -> SamplerReport:
     """Run the chain and compare empirical frequencies to the exact law.
 
@@ -280,9 +281,10 @@ def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
     chains (derived deterministically from the master seed) and the
     counts merged by addition; the result depends only on the
     arguments, never on scheduling.  Set compare=False to skip the
-    census and report frequencies alone.  The arguments, then n against
-    the size ceiling (max_n, else patterns.MAX_N), are checked before
-    the census.
+    census and report frequencies alone, or pass a census function to
+    call as census(n, max_n=max_n) in place of fpl.histogram.  The
+    arguments, then n against the size ceiling (max_n, else
+    patterns.MAX_N), are checked before the census.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -295,7 +297,8 @@ def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
     # n is admitted before any census work; as the first basis call,
     # this one's span in perfbench times the basis build
     _pat.enumerate_patterns(n, max_n)
-    hist = _fpl.histogram(n, max_n=max_n) if compare else None
+    census = compare if callable(compare) else _fpl.histogram
+    hist = census(n, max_n=max_n) if compare else None
     dim = _pat.catalan(n)
     counts = [0] * dim
     per = [samples // chains] * chains

@@ -82,16 +82,16 @@ def census_per_key(n: int) -> dict[int, int]:
     full = (1 << n) - 1
     level: dict = {(0, fpl._initial_frontier(n)): {0: 1}}
     for r in range(1, n + 1):
-        parity, last = r & 1, r == n
+        last = r == n
         left, right = fpl._row_tokens(n, r)
         nxt: dict = {}
         for (v, Ft), bucket in level.items():
-            for v2, odd, even in moves[v]:
+            for v2, shapes in fpl._moves_from(moves, n, v, r & 1):
                 if last and v2 != full:
                     continue
                 F = list(Ft)
                 new: list[tuple[int, int]] = []
-                fpl._apply_row(F, odd if parity else even, left, right, new)
+                fpl._apply_row(F, shapes, left, right, new)
                 if last:
                     new += fpl._bottom_arcs(n, F)
                     F = []

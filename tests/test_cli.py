@@ -406,6 +406,30 @@ def test_verify_n11_with_max_n(cache, capsys):
     assert "[pass] n=11 overall" in capsys.readouterr().out
 
 
+@pytest.mark.long
+def test_enumerate_n10_peak_rss_in_a_fresh_process(tmp_path):
+    # the census sets the peak of an n = 10 run: 61 MB with a dict per
+    # member and the row table as tuples, 41 MB with flat shape groups.
+    # Linux carries the high-water mark of the memory a process had when
+    # it calls exec into its ru_maxrss, and a child of this large test
+    # process starts out sharing it, so a small interpreter in between
+    # starts the run and reads its peak with os.wait4
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), LOOPMODEL_CACHE=str(tmp_path))
+    spawner = ("import os, subprocess, sys\n"
+               "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+               "_, status, usage = os.wait4(p.pid, 0)\n"
+               "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    argv = [sys.executable, "-m", "loopmodel.cli", "enumerate", "-n", "10",
+            "--no-cache", "--out", str(tmp_path / "h10.csv")]
+    proc = subprocess.run([sys.executable, "-c", spawner, *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    status, peak_kb = map(int, proc.stdout.split())
+    assert status == 0
+    assert peak_kb <= 50 * 1024  # ru_maxrss is in kB on Linux
+
+
 def test_verify_path_never_builds_the_entry_dict(cache, monkeypatch, capsys):
     def no_dict(self):
         raise AssertionError("the (r, c) entry dict was built")
@@ -413,6 +437,22 @@ def test_verify_path_never_builds_the_entry_dict(cache, monkeypatch, capsys):
     monkeypatch.setattr(spectra.SparseIntMatrix, "entries", property(no_dict))
     assert spectra.verify_conjecture(6).passed
     assert run(["groundstate", "-n", "6", "--out", "-"]) == cli.EXIT_OK
+
+
+def test_sample_compares_with_the_cached_census(cache, monkeypatch, tmp_path):
+    # a comparing run reads the verified census that enumerate caches and
+    # caches a fresh one itself, so a second run needs no census
+    argv = ["sample", "-n", "5", "--seed", "3", "--samples", "2000", "--out"]
+    assert run([*argv, str(tmp_path / "fresh.json")]) == cli.EXIT_OK
+    assert cli._cached_histogram(5).counts == fpl.histogram(5).counts
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("the census ran despite the cached one")
+
+    monkeypatch.setattr(fpl, "histogram", no_census)
+    assert run([*argv, str(tmp_path / "cached.json")]) == cli.EXIT_OK
+    assert ((tmp_path / "cached.json").read_bytes()
+            == (tmp_path / "fresh.json").read_bytes())
 
 
 def test_sample_chains_and_ignored_workers(cache, tmp_path):

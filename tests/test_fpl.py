@@ -17,6 +17,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -92,6 +93,16 @@ def brute_force_row_moves(n):
                 row.append((v2, odd, row_shapes(n, v, v2, 0)))
         moves.append(row)
     return moves
+
+
+def unpacked_row_moves(n):
+    """fpl._row_moves(n) read back as [[(v2, odd row, even row)] per v],
+    the rows as tuples, through the reader the sweeps use."""
+    moves = fpl._row_moves(n)
+    return [[(v2, tuple(odd), tuple(even))
+             for (v2, odd), (_, even) in zip(fpl._moves_from(moves, n, v, 1),
+                                             fpl._moves_from(moves, n, v, 0))]
+            for v in range(1 << n)]
 
 
 def pattern_by_union_find(state):
@@ -174,7 +185,10 @@ def test_histogram_totals_and_coverage(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_row_moves_match_brute_force(n):
-    moves = fpl._row_moves(n)
+    # each v holds its sorted v2 values and one bytes of n odd masks per move
+    assert all(v2s == tuple(sorted(v2s)) and len(odd) == n * len(v2s)
+               for v2s, odd in fpl._row_moves(n))
+    moves = unpacked_row_moves(n)
     assert moves == brute_force_row_moves(n)
     assert sum(len(row) for row in moves) == (3 ** n - 1) // 2
     assert all(mask in fpl._SHAPES
@@ -183,11 +197,11 @@ def test_row_moves_match_brute_force(n):
 
 @pytest.mark.parametrize("n", [8, 9, 10])
 def test_even_rows_beyond_the_brute_force_range(n):
-    # _row_moves derives each even row from its odd one and checks the
-    # convention at odd parity only; past the reach of the brute force
-    # the even rows must still be the per-column complements of the odd
+    # _row_moves stores the odd rows only and checks the convention at
+    # odd parity only; past the reach of the brute force the even rows
+    # read back must still be the per-column complements of the odd
     # ones and what _row_shapes gives at even parity
-    for v, row in enumerate(fpl._row_moves(n)):
+    for v, row in enumerate(unpacked_row_moves(n)):
         for v2, odd, even in row:
             assert even == tuple(m ^ 15 for m in odd), (v, v2)
             assert even == fpl._row_shapes(n, v, v2, 0), (v, v2)
@@ -197,8 +211,8 @@ def test_even_rows_beyond_the_brute_force_range(n):
 def test_every_move_adds_one_down_arrow(n):
     # so after row n every sweep state is the all-down mask, and the
     # census needs no filter on the moves out of row n
-    for v, row in enumerate(fpl._row_moves(n)):
-        for v2, _, _ in row:
+    for v, (v2s, _) in enumerate(fpl._row_moves(n)):
+        for v2 in v2s:
             assert v2.bit_count() == v.bit_count() + 1, (v, v2)
 
 
@@ -306,6 +320,61 @@ def test_census_rekeys_members_once_per_stub_effect(monkeypatch):
     monkeypatch.setattr(fpl, "_rekey", counted)
     assert fpl._census(7) == census_per_key(7)
     assert sum(rekeyed) == 4373
+
+
+def test_census_refuses_a_stub_code_table_with_two_stubs_swapped(monkeypatch):
+    # the first stub tuple of two or more stubs gets its first two stubs
+    # swapped in the code table, so every member with that code is read
+    # back in the next row with the two stubs exchanged; the order of the
+    # table, and with it every other code, is kept
+    real = fpl._rekey
+    swapped = []
+
+    def corrupt(members, idx, links, arc, codes, shift):
+        out = real(members, idx, links, arc, codes, shift)
+        S = None if swapped else next((S for S in codes if len(S) > 1), None)
+        if S is not None:
+            table = list(codes.items())
+            codes.clear()
+            codes.update(((*T[1::-1], *T[2:]) if T == S else T, code)
+                         for T, code in table)
+            swapped.append(S)
+        return out
+
+    monkeypatch.setattr(fpl, "_rekey", corrupt)
+    rep = spectra.verify_conjecture(5)
+    assert swapped == [(1, 2, 3)]
+    assert not rep.passed
+    assert [(c.name, c.passed) for c in rep.checks] == [("census-sweep", False)]
+    assert "crossing matching" in rep.checks[0].details
+
+
+def test_census_peak_memory_is_bounded():
+    # a level is one flat dict per shape group and the row table one
+    # bytes per v: the traced peak of _census(8) was 2.06 MB with a dict
+    # per member and a tuple pair per move, and is 0.81 MB
+    fpl._row_moves(8)  # fills the lru caches of _spread and _stub_at
+    patterns._basis(8)
+    tracemalloc.start()
+    try:
+        fpl._census(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
+
+
+def test_row_table_bytes_per_move_is_bounded():
+    # n bytes of odd row plus a v2 per move: 286 B per move at n = 9 as
+    # (v2, odd tuple, even tuple) triples, 39 B now
+    fpl._row_moves(9)
+    tracemalloc.start()
+    try:
+        moves = fpl._row_moves(9)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size / sum(len(v2s) for v2s, _ in moves) < 64
 
 
 def _stub_numbers_named(exc):
@@ -433,7 +502,8 @@ def test_state_at_refuses_a_row_table_that_miscounts(monkeypatch):
 
     def one_move_dropped(n):
         moves = real(n)
-        moves[0].pop()
+        v2s, odd = moves[0]
+        moves[0] = (v2s[:-1], odd[:-n])
         return moves
 
     monkeypatch.setattr(fpl, "_row_moves", one_move_dropped)
