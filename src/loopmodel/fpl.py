@@ -42,8 +42,9 @@ four shape bits as one n-bit word, spread to one byte per column, and
 `_row_moves` checks the convention on that packed odd row with a few
 integer comparisons.  The even row is the odd one with all four bits
 flipped, so a check at even parity would restate the odd one, and the
-table stores per v the sorted v2 values and one bytes of their odd
-rows, n bytes a move; `_moves_from` flips an even row as it reads it.
+table stores per v the sorted v2 values as one array('H') and one bytes
+of their odd rows, n + 2 bytes a move; `_moves_from` flips an even row
+as it reads it.
 
 The census keeps, along the sweep, a frontier linkage: for every live
 vertical edge crossing the sweep line, the far end of its open path
@@ -61,17 +62,20 @@ empty, which column each live slot points to and which slots reach a
 stub, never on the stub numbers.  A level is therefore kept in shape
 groups, a shape being (v, linkage) with every stub token replaced by
 one marker, so a member is its stub numbers in column order alone.  A
-level numbers its members' stub tuples, and a group is one flat dict
-{stub code << ARC_BITS * 2n | packed arcs: multiplicity}, with no dict
-per member.  Each (shape, move) is advanced once, on a linkage whose
-stub at column j carries the placeholder label 2n + 1 + j, above every
-real stub.  That yields the new shape and the move's stub effect: the
-source of each new stub in column order (a member's stub, by ordinal,
-or one of the row's own) and the new arcs as pairs of sources.  Many
-moves of a group share one effect, so a popped group is regrouped by
-code once, its entries are re-keyed once per effect into one dict, and
-each move with that effect merges that dict into its target group by
-one dict.update.  A group is released once advanced, so one level
+level is keyed by v first, {v: {marked linkage: group}}, so the moves
+out of each (row, v) are read once and shared by all of its groups,
+2**n - 1 reads a census.  A level numbers its members' stub tuples,
+and a group is one flat dict {stub code << ARC_BITS * 2n | packed arcs:
+multiplicity}, with no dict per member.  Each (shape, move) is advanced
+once, on a linkage whose stub at column j carries the placeholder label
+2n + 1 + j, above every real stub.  One pass over the advanced linkage
+then yields the new shape and the move's stub effect: the source of
+each new stub in column order (a member's stub, by ordinal, or one of
+the row's own) and the new arcs as pairs of sources.  Many moves of a
+group share one effect, so a popped group is regrouped by code once,
+its entries are re-keyed once per effect into one dict, and each move
+with that effect adds that dict into its target group in a plain loop
+over its entries.  A group is released once advanced, so one level
 shrinks while the next grows.  Rows 1..n are the same step.  Every
 move raises the count of down arrows by one, so every move out of row
 n ends at the all-down mask; one short pass over the last level then
@@ -88,12 +92,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import add, itemgetter
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from . import patterns as _pat
 from .errors import CapacityError, ConjectureViolation
 from .patterns import LinkPattern
+
+if TYPE_CHECKING:
+    from array import array
 
 # Shape-mask bits (selected edge directions at an internal vertex).
 U, L, B, R = 1, 2, 4, 8
@@ -198,8 +205,8 @@ def _row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | N
     return tuple(packed.to_bytes(n, "little"))
 
 
-def _row_moves(n: int) -> list[tuple[tuple[int, ...], bytes]]:
-    """moves[v] = (sorted v2 values, their odd rows as one bytes).
+def _row_moves(n: int) -> list[tuple[array, bytes]]:
+    """moves[v] = (sorted v2 values as array('H'), their odd rows as bytes).
 
     The valid v2 are generated from the alternating-flip rule: the
     horizontal arrow enters at 1, a column may flip only when its bit
@@ -216,9 +223,14 @@ def _row_moves(n: int) -> list[tuple[tuple[int, ...], bytes]]:
     checkerboard parity negates all four bit conditions, so an even row
     is its odd one with each byte xor 0x0F, which _moves_from applies
     on reading, and its check would restate the odd one.  Move i of v
-    is bytes n*i .. n*i + n - 1: 39 B a move with its v2 at n = 9, 4.5
-    MB at n = 11.  The census frees the uncached table with its sweep.
+    is bytes n*i .. n*i + n - 1 and v2 i of its array (n <= MAX_ROW_BITS
+    fits 16 bits): 17 B a move at n = 9 and 13, 13.4 MB at n = 13.  The
+    census frees the uncached table with its sweep.
     """
+    # here, not at module level: loaded before the other modules' tables,
+    # it raised the peak RSS of `sample` by 0.2 MB
+    from array import array
+
     spread = _spread(n)
     ones = spread[-1]  # 0x01 in every column's byte
     rbit = 8 * n - 5
@@ -227,13 +239,13 @@ def _row_moves(n: int) -> list[tuple[tuple[int, ...], bytes]]:
     up, down = spread[P ^ full], spread[P]
     at = _stub_at(n)
     left, right = ("L", 1) in at, ("R", 1) in at
-    moves: list[tuple[tuple[int, ...], bytes]] = []
+    moves: list[tuple[array, bytes]] = []
     for v in range(1 << n):
         partial = [(v, 1)]  # (v2 so far, arrow entering the next column)
         for j in range(n):
             a = (v >> j) & 1
             partial += [(w ^ (1 << j), a) for w, l in partial if l != a]
-        v2s = tuple(sorted(w for w, l in partial if l == 0))
+        v2s = array("H", sorted(w for w, l in partial if l == 0))
         rows = bytearray()
         sv = spread[v]
         for v2 in v2s:
@@ -649,11 +661,6 @@ def _pattern_rank(n: int, packed: int, rank_of: dict) -> int:
     return rank
 
 
-def _stubs_marked(F) -> tuple:
-    """The frontier's shape: every stub token replaced by the marker -1."""
-    return tuple([-1 if t is not None and t < 0 else t for t in F])
-
-
 def _by_code(group: dict, shift: int) -> dict:
     """A flat shape group regrouped as {stub code: {packed arcs: count}}."""
     mask, out = (1 << shift) - 1, {}
@@ -690,19 +697,22 @@ def _rekey(members: list, idx: tuple, links: tuple, arc: list, codes: dict,
 def _census(n: int) -> dict[int, int]:
     """Run the shape-group sweep from row 1 to completion.
 
-    A level maps each frontier shape (v, _stubs_marked(frontier)) to one
-    flat dict {stub code << ARC_BITS * 2n | packed arcs: multiplicity},
-    the code indexing the level's list of member stub tuples.  A popped
-    group is regrouped by code once (_by_code), and each (shape, move)
-    is advanced once by _apply_row on placeholder stub labels; a map
-    from those labels to indices into X, a member's stubs followed by
-    the row's own stub numbers, turns the advance into the move's stub
-    effect (see the module docstring).  _rekey builds each distinct
-    effect's dict once, and each move with that effect merges it into
-    its target group in one dict.update, exact because a dict's keys
-    are distinct; a new target starts as a copy, never as that dict.  A
-    last pass closes each member onto the bottom stubs and ranks each
-    entry.  Returns a dict rank -> count over final link patterns.
+    A level maps each arrow mask v to its shape groups, {marked frontier:
+    flat dict {stub code << ARC_BITS * 2n | packed arcs: multiplicity}},
+    the marked frontier having every stub token replaced by -1 and the
+    code indexing the level's list of member stub tuples.  The moves out
+    of (row, v) are read through _moves_from once and shared by every
+    group of that v.  A popped group is regrouped by code once
+    (_by_code), and each (shape, move) is advanced once by _apply_row on
+    placeholder stub labels; one pass over the advanced frontier marks
+    it and maps those labels to indices into X, a member's stubs
+    followed by the row's own stub numbers, which with the new arcs is
+    the move's stub effect (see the module docstring).  _rekey builds
+    each distinct effect's dict once, and each move with that effect
+    adds it into its target group entry by entry; a new target starts as
+    a copy, never as that dict.  A last pass closes each member onto the
+    bottom stubs and ranks each entry.  Returns a dict rank -> count over
+    final link patterns.
     """
     if 2 * n >= 1 << ARC_BITS:
         raise CapacityError(
@@ -718,7 +728,7 @@ def _census(n: int) -> dict[int, int]:
         for b in range(a + 1, top + 1):
             arc[a][b] = arc[b][a] = _pack(((a, b),))
     F0 = _initial_frontier(n)
-    level: dict = {(0, _stubs_marked(F0)): {0: 1}}
+    level: dict = {0: {tuple([None if t is None else -1 for t in F0]): {0: 1}}}
     stubs = [tuple([-t for t in F0 if t is not None])]  # code -> stub tuple
     for r in range(1, n + 1):
         left, right = _row_tokens(n, r)
@@ -729,47 +739,59 @@ def _census(n: int) -> dict[int, int]:
         nxt: dict = {}
         codes: dict = {}  # stub tuple of level r + 1 -> its code
         while level:
-            (v, Fs), members = level.popitem()
-            members = [(stubs[code] + tail, bucket)
-                       for code, bucket in _by_code(members, shift).items()]
-            cols = [j for j, t in enumerate(Fs) if t == -1]
-            # stub label -> index in X: the placeholder 2n + 1 + j of the
-            # stub at column j -> its ordinal, the row's stubs -> the tail
-            at = {top + 1 + j: i for i, j in enumerate(cols)}
-            at.update({s: len(cols) + i for i, s in enumerate(tail)})
-            Fp = [-top - 1 - j if t == -1 else t for j, t in enumerate(Fs)]
-            targets: dict = {}  # stub effect -> the target shapes of its moves
-            for v2, shapes in _moves_from(moves, n, v, r & 1):
-                F = list(Fp)
-                new: list[tuple[int, int]] = []
-                _apply_row(F, shapes, left, right, new)
-                effect = (tuple([at[-t] for t in F if t is not None and t < 0]),
-                          tuple([(at[a], at[b]) for a, b in new]))
-                targets.setdefault(effect, []).append((v2, _stubs_marked(F)))
-            for effect, shapes in targets.items():
-                entries = _rekey(members, *effect, arc, codes, shift)
-                for shape in shapes:
-                    target = nxt.get(shape)
-                    if target is None:  # a copy: other moves merge it too
-                        nxt[shape] = entries.copy()
-                    else:
-                        target.update(zip(entries, map(
-                            add, map(target.get, entries, repeat(0)),
-                            entries.values())))
+            v, groups = level.popitem()
+            row_moves = list(_moves_from(moves, n, v, r & 1))
+            while groups:
+                Fs, members = groups.popitem()
+                members = [(stubs[code] + tail, bucket)
+                           for code, bucket in _by_code(members, shift).items()]
+                cols = [j for j, t in enumerate(Fs) if t == -1]
+                # stub token -> index in X: the placeholder -(2n + 1 + j) of
+                # the stub at column j -> its ordinal, the row's stubs -> the
+                # tail
+                at = {-top - 1 - j: i for i, j in enumerate(cols)}
+                at.update({-s: len(cols) + i for i, s in enumerate(tail)})
+                Fp = [-top - 1 - j if t == -1 else t for j, t in enumerate(Fs)]
+                targets: dict = {}  # stub effect -> the target shapes of its moves
+                for v2, shapes in row_moves:
+                    F = list(Fp)
+                    new: list[tuple[int, int]] = []
+                    _apply_row(F, shapes, left, right, new)
+                    idx = []
+                    for j, t in enumerate(F):
+                        if t is not None and t < 0:
+                            idx.append(at[t])
+                            F[j] = -1
+                    effect = (tuple(idx), tuple([(at[-a], at[-b]) for a, b in new]))
+                    targets.setdefault(effect, []).append((v2, tuple(F)))
+                for effect, shapes in targets.items():
+                    entries = _rekey(members, *effect, arc, codes, shift)
+                    for v2, Fs2 in shapes:
+                        tier = nxt.get(v2)
+                        if tier is None:
+                            tier = nxt[v2] = {}
+                        target = tier.get(Fs2)
+                        if target is None:  # a copy: other moves merge it too
+                            tier[Fs2] = entries.copy()
+                        else:
+                            get = target.get
+                            for key, mult in entries.items():
+                                target[key] = get(key, 0) + mult
         level, stubs = nxt, list(codes)
 
     _, rank_of = _pat._basis(n)
     counts: dict[int, int] = {}
-    for (_, Fs), group in level.items():
-        cols = [j for j, t in enumerate(Fs) if t == -1]
-        for code, bucket in _by_code(group, shift).items():
-            F = list(Fs)
-            for j, s in zip(cols, stubs[code]):
-                F[j] = -s
-            closing = _pack(_bottom_arcs(n, F))
-            for packed, mult in bucket.items():
-                rank = _pattern_rank(n, packed + closing, rank_of)
-                counts[rank] = counts.get(rank, 0) + mult
+    for groups in level.values():
+        for Fs, group in groups.items():
+            cols = [j for j, t in enumerate(Fs) if t == -1]
+            for code, bucket in _by_code(group, shift).items():
+                F = list(Fs)
+                for j, s in zip(cols, stubs[code]):
+                    F[j] = -s
+                closing = _pack(_bottom_arcs(n, F))
+                for packed, mult in bucket.items():
+                    rank = _pattern_rank(n, packed + closing, rank_of)
+                    counts[rank] = counts.get(rank, 0) + mult
     return counts
 
 

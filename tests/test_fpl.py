@@ -185,9 +185,10 @@ def test_histogram_totals_and_coverage(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_row_moves_match_brute_force(n):
-    # each v holds its sorted v2 values and one bytes of n odd masks per move
-    assert all(v2s == tuple(sorted(v2s)) and len(odd) == n * len(v2s)
-               for v2s, odd in fpl._row_moves(n))
+    # each v holds its sorted v2 values as one array('H') and one bytes
+    # of n odd masks per move
+    assert all(v2s.typecode == "H" and list(v2s) == sorted(v2s)
+               and len(odd) == n * len(v2s) for v2s, odd in fpl._row_moves(n))
     moves = unpacked_row_moves(n)
     assert moves == brute_force_row_moves(n)
     assert sum(len(row) for row in moves) == (3 ** n - 1) // 2
@@ -320,6 +321,25 @@ def test_census_rekeys_members_once_per_stub_effect(monkeypatch):
     monkeypatch.setattr(fpl, "_rekey", counted)
     assert fpl._census(7) == census_per_key(7)
     assert sum(rekeyed) == 4373
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_census_reads_each_row_mask_once(monkeypatch, n):
+    # a level is keyed by v first, so the moves out of each reached (row,
+    # v) are read once for all of its shape groups; v has r - 1 down
+    # arrows at row r, so 2**n - 1 masks are reached: 31 and 127 reads
+    # against one per group (56 and 418)
+    expected = census_per_key(n)
+    reads = []
+    real = fpl._moves_from
+
+    def counted(moves, n_, v, parity):
+        reads.append((v, parity))
+        return real(moves, n_, v, parity)
+
+    monkeypatch.setattr(fpl, "_moves_from", counted)
+    assert fpl._census(n) == expected
+    assert len(reads) == len(set(reads)) == 2 ** n - 1
 
 
 def test_census_refuses_a_stub_code_table_with_two_stubs_swapped(monkeypatch):
