@@ -19,10 +19,10 @@ lam u.v = u.Hv = rho u.v, so lam = rho.  Hence a strictly positive
 integer v with H v = 2n v, checked exactly in big integers, shows that
 2n is the simple top eigenvalue, that the kernel of H - 2n*I is the
 line through v, and, once its gcd is 1, that v is the unique coprime
-positive generator of that line.  The candidate v comes from float
-power iteration, in pure Python, on the quotient of H by the rotation
-and reflection of the basis it commutes with (one value per symmetry
-orbit of patterns), rescaled and rounded; only the exact certificate
+positive generator of that line.  The candidate v comes from power
+iteration in Python ints on the quotient of H by the rotation and
+reflection of the basis it commutes with (one value per symmetry orbit
+of patterns), rescaled and rounded; only the exact certificate
 (:func:`certify_perron`), run on the full H, decides.
 
 ``verify_conjecture`` runs the full comparison between this spectral
@@ -39,7 +39,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from math import fsum
 from operator import itemgetter, mul
 
 from . import fpl as _fpl
@@ -47,10 +46,18 @@ from . import patterns as _pat
 from .errors import ConjectureViolation
 from .patterns import apply_h
 
-# Step cap of the candidate's float power iteration; exact-arithmetic
-# inputs converge in a few hundred steps, so it only ends runs on
-# matrices whose iterates never settle.
+# Step cap of the candidate's power iteration; the operator-sum matrices
+# converge in a few hundred steps, so it only ends runs on matrices
+# whose iterates never settle.
 POWER_MAX_ITER = 100_000
+
+# The candidate floor-scales each iterate to maximum 2**S.  Rounding it
+# over its minimum needs about twice the max/min ratio in bits, the
+# largest up to n = 15 (the census's ARC_BITS limit) being A_14, 74 bits;
+# S = 128 refuses a 60-state chain of ratio 2**94 that S = 192 certifies.
+# Scaled to the minimum instead, nothing would flush to zero, and on a
+# matrix whose iterate never settles the ints would grow a bit per step.
+S = 192
 
 FORMAT_VERSION = 1
 
@@ -155,8 +162,8 @@ class SparseIntMatrix:
 class BigIntVector:
     """An exact integer vector over the pattern basis.
 
-    steps is the float power-iteration step count of the candidate it
-    was certified from (0 when it came from elsewhere); it takes no part
+    steps is the power-iteration step count of the candidate it was
+    certified from (0 when it came from elsewhere); it takes no part
     in equality or the JSON artifact.
     """
 
@@ -296,7 +303,7 @@ def _orbits(H: SparseIntMatrix) -> tuple[list[int], list[int]]:
 
 
 def _perron_candidate(H: SparseIntMatrix) -> tuple[list[int], int]:
-    """Float guess at the eigenvector at 2n, and its power-iteration steps.
+    """Integer guess at the eigenvector at 2n, and its power-iteration steps.
 
     The iteration runs on the quotient of H by the dihedral permutations
     it commutes with (:func:`_orbits`): H maps orbit-constant vectors to
@@ -304,63 +311,56 @@ def _perron_candidate(H: SparseIntMatrix) -> tuple[list[int], int]:
     orbit o2's first column that land in orbit o, the image at o of an
     orbit-constant x is the sum over o2 of Q[o][o2] |o2| / |o| x[o2];
     that weight is an integer, as every row of o sums the columns of o2
-    alike.  Each lumped row is summed by math.fsum, correctly rounded.
-    The first guess is the iterate scaled to minimum 1 and rounded half
-    to even, which is right when the coprime vector has smallest
-    component 1, as the census does (some pattern has a single state).
-    Power iteration from the all-ones start scales each iterate to
-    maximum 1.  H times an integer vector below 2**53 is exact in
-    floats, so the loop stops at the first rounded guess with
-    H v = 2n v, or once an iterate repeats one of the last 8 and no new
-    guess will come.  If that guess fails, each ratio to the minimum is
-    read as a fraction with denominator at most 2**20, and the guess is
-    those fractions over their common denominator, divided by their
-    gcd.  Past 2**53 a float no longer holds every integer, so a smaller
-    minimum gives the rounded iterate itself.  The orbit values are
-    then spread over every rank, and only :func:`certify_perron`, run
-    on the full H, decides.
+    alike.  Power iteration runs in Python ints from the all-ones start,
+    each iterate floor-scaled to maximum 2**S.  The guess is the iterate
+    over its minimum, rounded half up, right when the coprime vector has
+    smallest component 1, as the census does (some pattern has a single
+    state); a component flushed to zero rounds the iterate itself.  The
+    loop stops at the first guess with Q v = 2n v, or once an iterate
+    repeats one of the last 8.  If that guess fails, each ratio to the
+    minimum is read as a fraction with denominator at most 2**20, and the
+    guess is those fractions over their common denominator, divided by
+    their gcd.  The orbit values are spread over every rank, and only
+    :func:`certify_perron`, run on the full H, decides.
     """
     orbit, reps = _orbits(H)
     size = Counter(orbit)
-    rows: list[tuple[list[int], list[float]]] = [([], []) for _ in reps]
+    rows: list[tuple[list[int], list[int]]] = [([], []) for _ in reps]
     for o2, c in enumerate(reps):
         for o, q in Counter(map(orbit.__getitem__, H.columns[c])).items():
             rows[o][0].append(o2)
-            rows[o][1].append(q * size[o2] / size[o])
+            rows[o][1].append(q * size[o2] // size[o])
 
-    def image(x: list[float]) -> Iterator[float]:
-        return (fsum(map(mul, w, map(x.__getitem__, idx))) for idx, w in rows)
+    def image(x: list[int]) -> Iterator[int]:
+        return (sum(map(mul, w, map(x.__getitem__, idx))) for idx, w in rows)
 
     two_n = 2 * H.n
-    x = [1.0] * len(reps)
+    x = [1 << S] * len(reps)
     recent = deque([x], maxlen=8)
     for step in range(1, POWER_MAX_ITER + 1):
         y = list(image(x))
-        top = max(y) or 1.0  # an all-zero iterate stays zero and fails the certificate
-        y = [t / top for t in y]
-        lo = min(y)
-        scaled = lo * 2.0 ** 53 > 1
-        v = [float(round(t / lo if scaled else t)) for t in y]
+        top = max(y) or 1  # an all-zero iterate stays zero and fails the certificate
+        y = [(t << S) // top for t in y]
+        lo = min(y) or 1 << S
+        v = [(2 * t + lo) // (2 * lo) for t in y]
         exact = all(a == two_n * t for a, t in zip(image(v), v))
         if exact or y in recent:
             break
         recent.append(y)
         x = y
-    if exact or not scaled:
-        vals = [int(t) for t in v]
-    else:
-        ratios = [Fraction(t / lo).limit_denominator(2 ** 20) for t in y]
+    if not exact:
+        ratios = [Fraction(t, lo).limit_denominator(2 ** 20) for t in y]
         den = math.lcm(*(f.denominator for f in ratios))
         guess = [f.numerator * (den // f.denominator) for f in ratios]
         g = math.gcd(*guess)
-        vals = [c // g for c in guess]
-    return [vals[o] for o in orbit], step
+        v = [c // g for c in guess]
+    return [v[o] for o in orbit], step
 
 
 def perron_vector(H: SparseIntMatrix) -> BigIntVector:
     """Exact eigenvector of H at eigenvalue 2n, positive and coprime.
 
-    The float candidate is certified by :func:`certify_perron`; any
+    The integer candidate is certified by :func:`certify_perron`; any
     failed check raises ConjectureViolation with a details dict, so
     verification drivers can report rather than die.  The result
     carries the candidate's step count as ``steps``.
@@ -388,7 +388,7 @@ def spectral_radius_check(H: SparseIntMatrix, psi: BigIntVector) -> SpectralChec
     and largest column sums, and H >= 0 by construction, so this makes
     rho(H) = 2n exactly; the certified psi, a positive eigenvector at
     2n of an irreducible H, makes 2n simple.  iterations records the power
-    iteration steps of psi's candidate; no float enters the verdict.
+    iteration steps of psi's candidate, which only proposes psi.
     """
     two_n = 2 * H.n
     return SpectralCheck(all(s == two_n for s in H.column_sums()), psi.steps)
@@ -480,8 +480,8 @@ class VerificationReport:
 def verify_conjecture(n: int, max_n: int | None = None) -> VerificationReport:
     """Compare the grid census against the exact top eigenvector.
 
-    Every check is decided in exact integers; floats only propose the
-    eigenvector candidate, which the certificate then proves.  Returns
+    Every check is decided in exact integers; power iteration only
+    proposes the eigenvector candidate, which the certificate proves.  Returns
     a report; mathematical failures become failed checks, not
     exceptions.
     """

@@ -222,6 +222,34 @@ def test_nilpotent_matrix_fails_the_certificate():
         spectra.perron_vector(M)
 
 
+def test_flushed_component_ends_the_candidate():
+    # [[4, 0], [0, 2]]: the second component halves against the first
+    # each step and flushes to zero after about S steps; the rounded
+    # iterate (1, 0) is then exact on the quotient, and the certificate
+    # refuses it (test_violation_on_nonpositive_component)
+    M = spectra.SparseIntMatrix(2, [[0] * 4, [1] * 2])
+    v, steps = spectra._perron_candidate(M)
+    assert v == [1, 0]
+    assert steps < 1000
+
+
+def _birth_death_chain(states):
+    """Lazy chain: column c holds 3 hops up, 4 stays and 1 hop down,
+    clamped at the ends, so every column sums to 8 = 2n at n = 4 and
+    the Perron vector is 3**k."""
+    return spectra.SparseIntMatrix(4, [
+        [min(c + 1, states - 1)] * 3 + [c] * 4 + [max(c - 1, 0)]
+        for c in range(states)])
+
+
+@pytest.mark.parametrize("states", [40, 60])
+def test_perron_vector_beyond_float_precision(states):
+    # components from 1 to 3**39 (about 2**62) or 3**59 (about 2**94):
+    # past 2**53 a float no longer holds every integer
+    psi = spectra.perron_vector(_birth_death_chain(states))
+    assert psi.components == tuple(3 ** k for k in range(states))
+
+
 # power-iteration steps of the candidate for the operator-sum matrix
 CANDIDATE_STEPS = {1: 1, 2: 1, 3: 1, 4: 3, 5: 9, 6: 20, 7: 39, 8: 67,
                    9: 107, 10: 163}
@@ -232,6 +260,14 @@ def test_candidate_steps_pinned(n):
     H = spectra.build_hamiltonian(n)
     assert H.commutation == (True, True)
     assert spectra.perron_vector(H).steps == CANDIDATE_STEPS[n]
+
+
+@pytest.mark.long
+def test_candidate_steps_pinned_n11():
+    psi = spectra.perron_vector(spectra.build_hamiltonian(11, max_n=11))
+    assert psi.steps == 238
+    assert psi.total() == fpl.asm_count(11)
+    assert psi.maximum() == fpl.asm_count(10)
 
 
 def test_hop_table_commutes_without_sorting(monkeypatch):
