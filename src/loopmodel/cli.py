@@ -7,12 +7,14 @@ spectrum comparison, ``sample`` drives the Markov-chain sampler, and
 ``render`` draws states and patterns.  Results are cached per n under
 a root taken from $LOOPMODEL_CACHE (default ~/.cache/loopmodel), as
 ``v<CACHE_VERSION>/n=<n>/<name>.json``, so a format bump never reads an
-older entry.  Each file carries a format version and a checksum and is
-written atomically; a cache write that fails prints one warning and
-leaves the command's output alone, corrupt cache entries are recomputed
-silently, a cached census is used only when its n, its total A_n, its
-ranks and the signs of its counts fit the request, and a cached
-eigenvector only after it passes the same certificate as a fresh one.
+older entry.  Each file carries a format version and a SHA-256 checksum
+of its payload, computed by CPython's builtin hash module (hashlib only
+where that module is missing), and is written atomically; a cache
+write that fails prints one warning and leaves the command's output
+alone, corrupt cache entries are recomputed silently, a cached census
+is used only when its n, its total A_n, its ranks and the signs of its
+counts fit the request, and a cached eigenvector only after it passes
+the same certificate as a fresh one.
 ``verify`` neither reads nor writes the cache; it still accepts
 ``--no-cache``, and ignores it.
 
@@ -64,22 +66,36 @@ def _cache_path(n: int, name: str) -> Path:
     return cache_root() / f"v{CACHE_VERSION}" / f"n={n}" / f"{name}.json"
 
 
+def _sha256(text: str) -> str:
+    """Hex SHA-256 of text's UTF-8 bytes, from CPython's builtin module.
+
+    hashlib maps OpenSSL, which raised a census run's peak RSS by about
+    3 MB; CPython's random.py takes _sha512 the same way.
+    """
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # not CPython, or built without the module
+        from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
+
+
 def cache_store(n: int, name: str, payload: dict) -> Path:
     """Write a payload with its checksum header; returns the path.
 
-    Written beside the target and moved in by os.replace, so readers
-    never see a partial file; a failed write leaves no temporary file.
+    Streamed into a file beside the target and moved in by os.replace,
+    so readers never see a partial file; a failed write leaves no
+    temporary file.
     """
-    import hashlib  # here, not at module level: loading it costs ~3 MB RSS
-
-    body = _canonical(payload)
-    obj = {"sha256": hashlib.sha256(body.encode()).hexdigest(), "payload": payload}
-    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    obj = {"sha256": _sha256(_canonical(payload)), "payload": payload}
     path = _cache_path(n, name)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as fh:
+            _write_json(obj, fh, indent=1)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -91,11 +107,9 @@ def cache_load(n: int, name: str) -> dict | None:
     path = _cache_path(n, name)
     try:
         obj = json.loads(path.read_text())
-        import hashlib  # only once an entry is read, so a miss never loads it
-
         payload = obj["payload"]
         if (not isinstance(payload, dict)
-                or hashlib.sha256(_canonical(payload).encode()).hexdigest() != obj["sha256"]):
+                or _sha256(_canonical(payload)) != obj["sha256"]):
             return None
         return payload
     except (OSError, ValueError, KeyError, TypeError):
@@ -116,6 +130,23 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+        print(f"wrote {out}")
+
+
+def _write_json(obj, fh, indent: int) -> None:
+    """Write json.dumps(obj, indent=indent, sort_keys=True) + "\n" to fh
+    chunk by chunk, so the whole text is never held at once."""
+    fh.writelines(json.JSONEncoder(sort_keys=True, indent=indent).iterencode(obj))
+    fh.write("\n")
+
+
+def _emit_json(obj, out: str | None) -> None:
+    """_emit of an indented JSON artifact, streamed."""
+    if out is None or out == "-":
+        _write_json(obj, sys.stdout, indent=2)
+    else:
+        with open(out, "w") as fh:
+            _write_json(obj, fh, indent=2)
         print(f"wrote {out}")
 
 
@@ -167,7 +198,7 @@ def cmd_enumerate(args) -> int:
     if args.format == "csv":
         _emit(hist.to_csv_text(), args.out)
     elif args.format == "json":
-        _emit(json.dumps(hist.to_json_obj(), indent=2, sort_keys=True) + "\n", args.out)
+        _emit_json(hist.to_json_obj(), args.out)
     return EXIT_OK
 
 
@@ -189,7 +220,7 @@ def cmd_groundstate(args) -> int:
     print(f"  component sum {psi.total()}")
     print(f"  component max {psi.maximum()}")
     if args.format == "json":
-        _emit(json.dumps(psi.to_json_obj(), indent=2, sort_keys=True) + "\n", args.out)
+        _emit_json(psi.to_json_obj(), args.out)
     elif args.format == "csv":
         lines = ["rank,component"]
         lines += [f"{r},{v}" for r, v in enumerate(psi.components)]
@@ -211,7 +242,7 @@ def cmd_verify(args) -> int:
     for line in report.summary_lines():
         print(line)
     if args.out:
-        _emit(report.to_json(), args.out)
+        _emit_json(report.to_json_obj(), args.out)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -236,7 +267,7 @@ def cmd_sample(args) -> int:
             f"  tv distance {rep.tv_distance:.6f} vs tolerance "
             f"{rep.tolerance:.6f}: {'pass' if rep.passed else 'FAIL'}"
         )
-    _emit(rep.to_json(), args.out)
+    _emit_json(rep.to_json_obj(), args.out)
     if rep.passed is False:
         return EXIT_FAIL
     return EXIT_OK

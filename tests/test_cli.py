@@ -406,28 +406,48 @@ def test_verify_n11_with_max_n(cache, capsys):
     assert "[pass] n=11 overall" in capsys.readouterr().out
 
 
-@pytest.mark.long
-def test_enumerate_n10_peak_rss_in_a_fresh_process(tmp_path):
-    # the census sets the peak of an n = 10 run: 61 MB with a dict per
-    # member and the row table as tuples, 41 MB with flat shape groups.
-    # Linux carries the high-water mark of the memory a process had when
-    # it calls exec into its ru_maxrss, and a child of this large test
-    # process starts out sharing it, so a small interpreter in between
-    # starts the run and reads its peak with os.wait4
+def _peak_kb_in_a_fresh_process(args: list[str], tmp_path) -> int:
+    """Peak RSS in kB of `python *args`, run with the cache under tmp_path.
+
+    Linux carries the high-water mark of the memory a process had when
+    it calls exec into its ru_maxrss, and a child of this large test
+    process starts out sharing it, so a small interpreter in between
+    starts the run and reads its peak with os.wait4.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), LOOPMODEL_CACHE=str(tmp_path))
     spawner = ("import os, subprocess, sys\n"
                "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
                "_, status, usage = os.wait4(p.pid, 0)\n"
                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
-    argv = [sys.executable, "-m", "loopmodel.cli", "enumerate", "-n", "10",
-            "--no-cache", "--out", str(tmp_path / "h10.csv")]
-    proc = subprocess.run([sys.executable, "-c", spawner, *argv], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", spawner, sys.executable, *args],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     status, peak_kb = map(int, proc.stdout.split())
     assert status == 0
-    assert peak_kb <= 50 * 1024  # ru_maxrss is in kB on Linux
+    return peak_kb  # ru_maxrss is in kB on Linux
+
+
+@pytest.mark.long
+def test_enumerate_n10_peak_rss_in_a_fresh_process(tmp_path):
+    # the census sets the peak of an n = 10 run: 61 MB with a dict per
+    # member and the row table as tuples, 41 MB with flat shape groups
+    args = ["-m", "loopmodel.cli", "enumerate", "-n", "10", "--no-cache",
+            "--out", str(tmp_path / "h10.csv")]
+    assert _peak_kb_in_a_fresh_process(args, tmp_path) <= 50 * 1024
+
+
+def test_enumerate_n8_with_cache_peaks_near_the_import(tmp_path):
+    # writing the cache entry must cost no memory above the census:
+    # loading hashlib maps OpenSSL, and a whole entry text is one more
+    # copy of the payload.  With both the run peaked 4.6-5.0 MB above a
+    # bare import, with neither about 1.0 MB.
+    base = _peak_kb_in_a_fresh_process(["-c", "import loopmodel.cli"], tmp_path)
+    out = tmp_path / "h8.csv"
+    peak = _peak_kb_in_a_fresh_process(
+        ["-m", "loopmodel.cli", "enumerate", "-n", "8", "--out", str(out)], tmp_path)
+    assert (tmp_path / f"v{cli.CACHE_VERSION}" / "n=8" / "histogram.json").is_file()
+    assert peak - base < 2.5 * 1024
 
 
 def test_verify_path_never_builds_the_entry_dict(cache, monkeypatch, capsys):
@@ -584,27 +604,95 @@ def test_sample_leaves_numpy_unloaded(tmp_path):
     assert out.exists()
 
 
-def test_hashlib_loads_only_on_the_cache_path(tmp_path):
-    # -S: no site hook imports hashlib before the commands run
+def test_openssl_hashlib_never_loads(tmp_path):
+    # -S: no site hook imports hashlib before the commands run.  The cache
+    # checksum comes from CPython's builtin module, so no command, cache
+    # write or cache read maps OpenSSL's _hashlib.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), LOOPMODEL_CACHE=str(tmp_path))
     code = ("import sys\nfrom loopmodel import cli\n"
+            "def loaded(step):\n"
+            "    print('@', step, '_hashlib' in sys.modules)\n"
             "cli.main(['verify', '-n', '5', '--out', 'r5.json'])\n"
+            "loaded('verify')\n"
             "cli.main(['sample', '-n', '4', '--no-compare', '--out', 's4.json'])\n"
-            "before = 'hashlib' in sys.modules\n"
-            "real, seen = cli._fpl._census, []\n"
-            "cli._fpl._census = lambda n: ("
-            "seen.append('hashlib' in sys.modules) or real(n))\n"
+            "loaded('sample')\n"
             "cli.main(['enumerate', '-n', '5', '--out', 'h5.csv'])\n"
-            "print('census with hashlib:', seen)\n"
-            "print(before, 'hashlib' in sys.modules,"
-            " cli.cache_load(5, 'histogram')['total'])")
+            "loaded('enumerate')\n"
+            "print('@ total', cli.cache_load(5, 'histogram')['total'])\n"
+            "loaded('read-back')")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    # a cache miss must not load hashlib under the census peak
-    assert proc.stdout.splitlines()[-2:] == ["census with hashlib: [False]",
-                                             "False True 429"]
+    steps = [line[2:] for line in proc.stdout.splitlines() if line[:2] == "@ "]
+    assert steps == ["verify False", "sample False", "enumerate False",
+                     "total 429", "read-back False"]
+
+
+def _streamed_artifact(argv, tmp_path):
+    out = tmp_path / "artifact.json"
+    assert run([*argv, "--out", str(out)]) == cli.EXIT_OK
+    text = out.read_text()
+    return text, json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _streamed_to_stdout(argv, capsys):
+    assert run([*argv, "--out", "-"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    text = out[out.index("\n{") + 1:]  # after the summary lines
+    return text, json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _cache_entry_text(tmp_path):
+    payload = fpl.histogram(6).to_json_obj()
+    entry = {"sha256": hashlib.sha256(cli._canonical(payload).encode()).hexdigest(),
+             "payload": payload}
+    path = cli.cache_store(6, "histogram", payload)
+    return path.read_text(), json.dumps(entry, sort_keys=True, indent=1) + "\n"
+
+
+def _hashlib_entry_read_back(tmp_path):
+    # an entry as the hashlib-based writer left it
+    payload = fpl.histogram(5).to_json_obj()
+    entry = {"sha256": hashlib.sha256(cli._canonical(payload).encode()).hexdigest(),
+             "payload": payload}
+    path = cli._cache_path(5, "histogram")
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(entry, sort_keys=True, indent=1) + "\n")
+    return cli.cache_load(5, "histogram"), payload
+
+
+def _digests(text):
+    return cli._sha256(text), hashlib.sha256(text.encode()).hexdigest()
+
+
+SAME_BYTES = {
+    "enumerate-json": lambda tmp, cap: _streamed_artifact(
+        ["enumerate", "-n", "6", "--format", "json"], tmp),
+    "enumerate-json-stdout": lambda tmp, cap: _streamed_to_stdout(
+        ["enumerate", "-n", "5", "--format", "json"], cap),
+    "groundstate-json": lambda tmp, cap: _streamed_artifact(
+        ["groundstate", "-n", "6", "--format", "json"], tmp),
+    "verify-out": lambda tmp, cap: _streamed_artifact(["verify", "-n", "5"], tmp),
+    "sample-out": lambda tmp, cap: _streamed_artifact(
+        ["sample", "-n", "4", "--samples", "2000"], tmp),
+    "cache-entry": lambda tmp, cap: _cache_entry_text(tmp),
+    "hashlib-entry-reads-back": lambda tmp, cap: _hashlib_entry_read_back(tmp),
+    "digest-empty": lambda tmp, cap: _digests(""),
+    "digest-short": lambda tmp, cap: _digests("loopmodel"),
+    "digest-census-n6": lambda tmp, cap: _digests(
+        cli._canonical(fpl.histogram(6).to_json_obj())),
+}
+
+
+@pytest.mark.parametrize("case", SAME_BYTES)
+def test_streamed_json_and_builtin_digest_match_the_old_bytes(cache, tmp_path,
+                                                              capsys, case):
+    # each streamed artifact is json.dumps of the same object, each cache
+    # entry is the indent=1 json.dumps of it, and the builtin digest is
+    # hashlib's, so files written before and after read back either way
+    actual, expected = SAME_BYTES[case](tmp_path, capsys)
+    assert actual == expected
 
 
 def test_entry_point_exists():
