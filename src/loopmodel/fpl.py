@@ -90,17 +90,13 @@ the number of completions below each (row, v).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from . import patterns as _pat
+from ._record import Frozen, set_field
 from .errors import CapacityError, ConjectureViolation
 from .patterns import LinkPattern
-
-if TYPE_CHECKING:
-    from array import array
 
 # Shape-mask bits (selected edge directions at an internal vertex).
 U, L, B, R = 1, 2, 4, 8
@@ -374,8 +370,7 @@ def _row_tokens(n: int, r: int) -> tuple[int | None, int | None]:
 # -- states and matrices ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FplState:
+class FplState(Frozen):
     """One fully packed loop state: n plus the n-by-n grid of shape masks.
 
     ``grid[r][c]`` (0-based) is the mask of vertex (r+1, c+1).  The
@@ -389,11 +384,14 @@ class FplState:
     in, which is the rule on the left and right sides.
     """
 
+    __slots__ = _fields = ("n", "grid")
     n: int
     grid: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n, g = self.n, self.grid
+    def __init__(self, n: int, grid: tuple[tuple[int, ...], ...]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "grid", grid)
+        g = grid
         if n < 1 or len(g) != n or any(len(row) != n for row in g):
             raise ValueError("grid must be n rows of n shape masks")
         for r in range(n):
@@ -439,18 +437,19 @@ class FplState:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class AsmMatrix:
+class AsmMatrix(Frozen):
     """An alternating-sign matrix: entries in {-1, 0, 1}, every row and
     column summing to 1 with nonzero entries alternating in sign
     (equivalently: all prefix sums are 0 or 1 and each line sums to 1).
     """
 
+    __slots__ = _fields = ("n", "rows")
     n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n, rows = self.n, self.rows
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "rows", rows)
         if n < 1 or len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("need an n-by-n entry grid")
         for kind, lines in (("row", rows), ("column", zip(*rows))):
@@ -795,12 +794,16 @@ def _census(n: int) -> dict[int, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class PatternHistogram:
+class PatternHistogram(Frozen):
     """Census result: for each pattern rank, how many states realize it."""
 
+    __slots__ = _fields = ("n", "counts")
     n: int
     counts: dict[int, int]
+
+    def __init__(self, n: int, counts: dict[int, int]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "counts", counts)
 
     def total(self) -> int:
         return sum(self.counts.values())

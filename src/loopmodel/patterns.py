@@ -38,9 +38,9 @@ as the definition-direct references, as ``apply_h`` does beside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Frozen, set_field
 from .errors import CapacityError
 
 # The one size ceiling.  Every public function that starts per-n work
@@ -78,22 +78,24 @@ def check_n(n: int, max_n: int | None = None) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class LinkPattern:
+class LinkPattern(Frozen):
     """An immutable noncrossing perfect matching of 2n circle positions.
 
     ``match`` is 0-based: ``match[i]`` is the partner of position i.
     All constructors validate; an invalid array never becomes a value.
     """
 
+    __slots__ = _fields = ("n", "match")
     n: int
     match: tuple[int, ...]
 
-    def __post_init__(self):
-        m = self.match
-        size = 2 * self.n
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got n={self.n}")
+    def __init__(self, n: int, match: tuple[int, ...]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "match", match)
+        m = match
+        size = 2 * n
+        if n < 1:
+            raise ValueError(f"need n >= 1, got n={n}")
         if len(m) != size:
             raise ValueError(f"match length {len(m)} != 2n = {size}")
         if _noncrossing_involution(m, size):

@@ -36,13 +36,12 @@ import math
 import time
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, mul
 
 from . import fpl as _fpl
 from . import patterns as _pat
+from ._record import Frozen, Record, set_field
 from .errors import ConjectureViolation
 from .patterns import apply_h
 
@@ -62,8 +61,7 @@ S = 192
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SparseIntMatrix:
+class SparseIntMatrix(Frozen):
     """Integer matrix over the pattern basis, held as a hop table.
 
     columns[c] lists one row per operator applied to pattern c, and
@@ -72,12 +70,16 @@ class SparseIntMatrix:
     each read, for the exports.
     """
 
+    # no __slots__: the cached commutation lives in the instance dict
+    _fields = ("n", "columns")
     n: int
     columns: Sequence[Sequence[int]]
 
-    def __post_init__(self):
-        dim = len(self.columns)
-        for c, col in enumerate(self.columns):
+    def __init__(self, n: int, columns: Sequence[Sequence[int]]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "columns", columns)
+        dim = len(columns)
+        for c, col in enumerate(columns):
             if col and not (0 <= min(col) and max(col) < dim):
                 bad = next(r for r in col if not 0 <= r < dim)
                 raise ValueError(f"column {c} holds row {bad}, outside 0..{dim - 1}")
@@ -158,8 +160,7 @@ class SparseIntMatrix:
         }
 
 
-@dataclass(frozen=True)
-class BigIntVector:
+class BigIntVector(Frozen):
     """An exact integer vector over the pattern basis.
 
     steps is the power-iteration step count of the candidate it was
@@ -167,9 +168,16 @@ class BigIntVector:
     in equality or the JSON artifact.
     """
 
+    __slots__ = _fields = ("n", "components", "steps")
+    _compared = ("n", "components")
     n: int
     components: tuple[int, ...]
-    steps: int = field(default=0, compare=False)
+    steps: int
+
+    def __init__(self, n: int, components: tuple[int, ...], steps: int = 0) -> None:
+        set_field(self, "n", n)
+        set_field(self, "components", components)
+        set_field(self, "steps", steps)
 
     @property
     def dim(self) -> int:
@@ -349,6 +357,8 @@ def _perron_candidate(H: SparseIntMatrix) -> tuple[list[int], int]:
         recent.append(y)
         x = y
     if not exact:
+        from fractions import Fraction
+
         ratios = [Fraction(t, lo).limit_denominator(2 ** 20) for t in y]
         den = math.lcm(*(f.denominator for f in ratios))
         guess = [f.numerator * (den // f.denominator) for f in ratios]
@@ -366,15 +376,19 @@ def perron_vector(H: SparseIntMatrix) -> BigIntVector:
     carries the candidate's step count as ``steps``.
     """
     candidate, steps = _perron_candidate(H)
-    return replace(certify_perron(H, candidate), steps=steps)
+    return BigIntVector(H.n, certify_perron(H, candidate).components, steps)
 
 
-@dataclass(frozen=True)
-class SpectralCheck:
+class SpectralCheck(Frozen):
     """Exact facts that fix the spectral radius of H at 2n."""
 
+    __slots__ = _fields = ("column_sums_ok", "iterations")
     column_sums_ok: bool
     iterations: int
+
+    def __init__(self, column_sums_ok: bool, iterations: int) -> None:
+        set_field(self, "column_sums_ok", column_sums_ok)
+        set_field(self, "iterations", iterations)
 
     @property
     def passed(self) -> bool:
@@ -427,20 +441,31 @@ def preimage_sums_all(n: int, hist: _fpl.PatternHistogram) -> list[int]:
 # -- verification driver ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
+    __slots__ = _fields = ("name", "passed", "details")
     name: str
     passed: bool
     details: str
 
+    def __init__(self, name: str, passed: bool, details: str) -> None:
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "details", details)
 
-@dataclass
-class VerificationReport:
+
+class VerificationReport(Record):
     """Outcome of the full census-versus-spectrum comparison for one n."""
 
+    __slots__ = _fields = ("n", "checks", "elapsed_seconds")
     n: int
-    checks: list[CheckResult] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
+    checks: list[CheckResult]
+    elapsed_seconds: float
+
+    def __init__(self, n: int, checks: list[CheckResult] | None = None,
+                 elapsed_seconds: float = 0.0) -> None:
+        self.n = n
+        self.checks = [] if checks is None else checks
+        self.elapsed_seconds = elapsed_seconds
 
     @property
     def passed(self) -> bool:

@@ -25,13 +25,12 @@ import math
 import sys
 from array import array
 from collections.abc import Callable
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import fpl as _fpl
 from . import patterns as _pat
 from . import spectra as _spec
+from ._record import Frozen, set_field
 from .patterns import LinkPattern, apply_h
 
 FORMAT_VERSION = 1
@@ -122,19 +121,21 @@ def chain_seed(seed: int, chain: int) -> int:
     return SplitMix64((seed ^ (0xA5A5A5A5DEADBEEF * (chain + 1))) & _MASK64).next_u64()
 
 
-@dataclass(frozen=True)
-class PatternDistribution:
+class PatternDistribution(Frozen):
     """Exact probability law over the pattern basis for one n."""
 
+    __slots__ = _fields = ("n", "probabilities")
     n: int
     probabilities: dict[int, Fraction]
 
-    def __post_init__(self) -> None:
-        dim = _pat.catalan(self.n)
-        total = Fraction(0)
-        for r, p in self.probabilities.items():
+    def __init__(self, n: int, probabilities: dict[int, Fraction]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "probabilities", probabilities)
+        dim = _pat.catalan(n)
+        total = 0
+        for r, p in probabilities.items():
             if not (0 <= r < dim):
-                raise ValueError(f"rank {r} out of range for n={self.n}")
+                raise ValueError(f"rank {r} out of range for n={n}")
             if p < 0:
                 raise ValueError(f"negative probability at rank {r}")
             total += p
@@ -142,6 +143,8 @@ class PatternDistribution:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     def probability(self, rank: int) -> Fraction:
+        from fractions import Fraction
+
         return self.probabilities.get(rank, Fraction(0))
 
     def float_view(self) -> dict[int, float]:
@@ -149,11 +152,13 @@ class PatternDistribution:
 
     def tv_distance(self, other: PatternDistribution) -> Fraction:
         """Total-variation distance, exact."""
+        from fractions import Fraction
+
         if self.n != other.n:
             raise ValueError("distributions live on different bases")
-        ranks = set(self.probabilities) | set(other.probabilities)
+        p, q = self.probabilities, other.probabilities
         return sum(
-            (abs(self.probability(r) - other.probability(r)) for r in ranks),
+            (abs(p.get(r, 0) - q.get(r, 0)) for r in set(p) | set(q)),
             Fraction(0),
         ) / 2
 
@@ -161,6 +166,8 @@ class PatternDistribution:
 def stationary_law(n: int, max_n: int | None = None) -> PatternDistribution:
     """The conjectured stationary law count(pattern)/total of the grid
     census, exactly; the census checks n against the ceiling max_n."""
+    from fractions import Fraction
+
     hist = _fpl.histogram(n, max_n=max_n)
     total = hist.total()
     probs = {r: Fraction(c, total) for r, c in hist.counts.items()}
@@ -170,6 +177,8 @@ def stationary_law(n: int, max_n: int | None = None) -> PatternDistribution:
 def player_a_probability(n: int, target: LinkPattern,
                          hist: _fpl.PatternHistogram | None = None) -> Fraction:
     """Probability that a uniform state carries the target pattern."""
+    from fractions import Fraction
+
     if target.n != n:
         raise ValueError("target pattern size does not match n")
     if hist is None:
@@ -185,6 +194,8 @@ def player_b_probability(n: int, target: LinkPattern,
     of the 2n operation indices sending q to the target, all exact:
     the target's preimage sum over 2n * total.
     """
+    from fractions import Fraction
+
     if target.n != n:
         raise ValueError("target pattern size does not match n")
     if hist is None:
@@ -219,10 +230,11 @@ def _run_chain(n: int, burn_in: int, samples: int, seed: int,
             counts[state] += 1
 
 
-@dataclass(frozen=True)
-class SamplerReport:
+class SamplerReport(Frozen):
     """Empirical outcome of a stationary-law sampling run."""
 
+    __slots__ = _fields = ("n", "seed", "burn_in", "samples", "chains",
+                           "counts", "tolerance", "tv_distance", "passed")
     n: int
     seed: int
     burn_in: int
@@ -233,7 +245,17 @@ class SamplerReport:
     tv_distance: float | None
     passed: bool | None
 
+    def __init__(self, n: int, seed: int, burn_in: int, samples: int,
+                 chains: int, counts: tuple[int, ...], tolerance: float,
+                 tv_distance: float | None, passed: bool | None) -> None:
+        for name, value in zip(self._fields, (n, seed, burn_in, samples, chains,
+                                              counts, tolerance, tv_distance,
+                                              passed)):
+            set_field(self, name, value)
+
     def empirical(self) -> PatternDistribution:
+        from fractions import Fraction
+
         total = sum(self.counts)
         return PatternDistribution(
             self.n,

@@ -550,37 +550,44 @@ def test_sweep_violation_exits_with_a_violation_line(cache, monkeypatch, capsys)
     assert capsys.readouterr().err.startswith("violation: ")
 
 
-def _numpy_loaded_after(code: str, tmp_path) -> str:
+def _loaded_after(code: str, names, tmp_path, no_site: bool = False) -> list[str]:
+    """Those of `names` in sys.modules once a fresh interpreter ran `code`.
+
+    The child runs in tmp_path, with the source tree on its path and its
+    cache in tmp_path; no_site passes -S, so no site hook imports
+    anything before the code does.
+    """
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), LOOPMODEL_CACHE=str(tmp_path))
-    code += "\nprint('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    code += f"\nimport sys\nprint(*[m for m in {list(names)!r} if m in sys.modules])"
+    flags = ["-S"] if no_site else []
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1]
+    return proc.stdout.splitlines()[-1].split()
 
 
 def test_cli_import_leaves_numpy_unloaded(tmp_path):
     # numpy is no runtime dependency; importing the package must not load it
-    code = "import sys, loopmodel, loopmodel.cli"
-    assert _numpy_loaded_after(code, tmp_path) == "False"
+    code = "import loopmodel, loopmodel.cli"
+    assert _loaded_after(code, ["numpy"], tmp_path) == []
 
 
 def test_enumerate_leaves_numpy_unloaded(tmp_path):
     # the census itself, not only the import, runs without numpy
     out = tmp_path / "h5.csv"
-    code = ("import sys, loopmodel.cli\n"
+    code = ("import loopmodel.cli\n"
             f"loopmodel.cli.main(['enumerate', '-n', '5', '--out', {str(out)!r}])")
-    assert _numpy_loaded_after(code, tmp_path) == "False"
+    assert _loaded_after(code, ["numpy"], tmp_path) == []
     assert out.read_text().startswith("rank,match_array,count")
 
 
 def test_verify_leaves_numpy_unloaded(tmp_path):
     # the eigenvector candidate is pure Python: no command loads numpy
     out = tmp_path / "r5.json"
-    code = ("import sys, loopmodel.cli\n"
+    code = ("import loopmodel.cli\n"
             f"loopmodel.cli.main(['verify', '-n', '5', '--out', {str(out)!r}])")
-    assert _numpy_loaded_after(code, tmp_path) == "False"
+    assert _loaded_after(code, ["numpy"], tmp_path) == []
     assert json.loads(out.read_text())["passed"] is True
 
 
@@ -591,16 +598,16 @@ def test_verify_runs_with_numpy_blocked(tmp_path):
             "from loopmodel import spectra\n"
             "assert spectra.verify_conjecture(6).passed\n"
             "assert sys.modules['numpy'] is None")
-    assert _numpy_loaded_after(code, tmp_path) == "True"  # the None entry
+    assert _loaded_after(code, ["numpy"], tmp_path) == ["numpy"]  # the None entry
 
 
 def test_sample_leaves_numpy_unloaded(tmp_path):
     # the chain and its exact-law comparison run without numpy
     out = tmp_path / "s.json"
-    code = ("import sys, loopmodel.cli\n"
+    code = ("import loopmodel.cli\n"
             f"loopmodel.cli.main(['sample', '-n', '4', '--samples', '2000', "
             f"'--out', {str(out)!r}])")
-    assert _numpy_loaded_after(code, tmp_path) == "False"
+    assert _loaded_after(code, ["numpy"], tmp_path) == []
     assert out.exists()
 
 
@@ -608,25 +615,41 @@ def test_openssl_hashlib_never_loads(tmp_path):
     # -S: no site hook imports hashlib before the commands run.  The cache
     # checksum comes from CPython's builtin module, so no command, cache
     # write or cache read maps OpenSSL's _hashlib.
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), LOOPMODEL_CACHE=str(tmp_path))
     code = ("import sys\nfrom loopmodel import cli\n"
-            "def loaded(step):\n"
-            "    print('@', step, '_hashlib' in sys.modules)\n"
+            "def unloaded(step):\n"
+            "    assert '_hashlib' not in sys.modules, step\n"
             "cli.main(['verify', '-n', '5', '--out', 'r5.json'])\n"
-            "loaded('verify')\n"
+            "unloaded('verify')\n"
             "cli.main(['sample', '-n', '4', '--no-compare', '--out', 's4.json'])\n"
-            "loaded('sample')\n"
+            "unloaded('sample')\n"
             "cli.main(['enumerate', '-n', '5', '--out', 'h5.csv'])\n"
-            "loaded('enumerate')\n"
-            "print('@ total', cli.cache_load(5, 'histogram')['total'])\n"
-            "loaded('read-back')")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          cwd=tmp_path, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    steps = [line[2:] for line in proc.stdout.splitlines() if line[:2] == "@ "]
-    assert steps == ["verify False", "sample False", "enumerate False",
-                     "total 429", "read-back False"]
+            "unloaded('enumerate')\n"
+            "assert cli.cache_load(5, 'histogram')['total'] == 429\n"
+            "unloaded('read-back')")
+    assert _loaded_after(code, ["_hashlib"], tmp_path, no_site=True) == []
+
+
+# Modules no verdict needs: dataclasses pulls in inspect (with ast, dis
+# and tokenize) at import, and fractions pulls in decimal.
+STARTUP_FREE = ["dataclasses", "inspect", "fractions", "decimal", "typing"]
+
+
+def test_import_loads_no_dataclasses_or_fractions(tmp_path):
+    code = "import loopmodel, loopmodel.cli"
+    assert _loaded_after(code, STARTUP_FREE, tmp_path, no_site=True) == []
+
+
+def test_commands_load_no_dataclasses_or_fractions(tmp_path):
+    # the exact laws import fractions only when built; no command builds one
+    code = ("from loopmodel import cli\n"
+            "cli.main(['verify', '-n', '5', '--out', 'r5.json'])\n"
+            "cli.main(['enumerate', '-n', '5', '--out', 'h5.csv'])\n"
+            "cli.main(['sample', '-n', '4', '--no-compare', '--out', 's4.json'])\n"
+            "cli.main(['sample', '-n', '4', '--samples', '2000', '--out', 's.json'])\n"
+            "import json\n"
+            "assert json.load(open('s.json'))['pass'] is not None")
+    assert _loaded_after(code, ["dataclasses", "inspect", "fractions"], tmp_path,
+                         no_site=True) == []
 
 
 def _streamed_artifact(argv, tmp_path):
@@ -745,3 +768,11 @@ def test_package_facade_exports_contract_surface():
         assert hasattr(loopmodel, name), name
         assert name in loopmodel.__all__, name
     assert sorted(set(loopmodel.__all__)) == sorted(loopmodel.__all__)
+
+
+def test_readme_library_tour_runs():
+    # the README's python example is the documented public API; run it as is
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme[readme.index("\n## Library tour\n"):]
+    start = tour.index("```python\n") + len("```python\n")
+    exec(compile(tour[start:tour.index("```", start)], "README.md", "exec"), {})
