@@ -410,6 +410,20 @@ class FplState(Frozen):
             if bool(g[n - 1][c - 1] & B) != (("B", c) in at):
                 raise ValueError(f"bottom boundary violated at column {c}")
 
+    @classmethod
+    def _from_row_table(cls, n: int, grid: tuple[tuple[int, ...], ...]) -> FplState:
+        """A state built from rows of the row table, without re-checking.
+
+        The row table admits only valid shapes that agree along shared
+        edges and meet the boundary rule, so enumerate_states and
+        state_at skip the constructor's checks, which were nearly all of
+        the stream's cost.
+        """
+        state = object.__new__(cls)
+        set_field(state, "n", n)
+        set_field(state, "grid", grid)
+        return state
+
     def shape(self, r: int, c: int) -> int:
         """Shape mask at 1-based (r, c)."""
         return self.grid[r - 1][c - 1]
@@ -570,7 +584,7 @@ def enumerate_states(n: int, max_n: int | None = None):
         for v2, shapes in _moves_from(moves, n, v, r & 1):
             rows.append(tuple(shapes))
             if r == n:
-                yield FplState(n, tuple(rows))
+                yield FplState._from_row_table(n, tuple(rows))
             else:
                 yield from descend(v2, r + 1)
             rows.pop()
@@ -614,7 +628,7 @@ def state_at(n: int, k: int, max_n: int | None = None) -> FplState:
             k -= ways(r + 1, v2)
         rows.append(tuple(shapes))
         v = v2
-    return FplState(n, tuple(rows))
+    return FplState._from_row_table(n, tuple(rows))
 
 
 def _pack(arcs) -> int:

@@ -19,11 +19,17 @@ lam u.v = u.Hv = rho u.v, so lam = rho.  Hence a strictly positive
 integer v with H v = 2n v, checked exactly in big integers, shows that
 2n is the simple top eigenvalue, that the kernel of H - 2n*I is the
 line through v, and, once its gcd is 1, that v is the unique coprime
-positive generator of that line.  The candidate v comes from power
-iteration in Python ints on the quotient of H by the rotation and
-reflection of the basis it commutes with (one value per symmetry orbit
-of patterns), rescaled and rounded; only the exact certificate
-(:func:`certify_perron`), run on the full H, decides.
+positive generator of that line.
+
+The certificate (:func:`certify_perron`) checks five facts in this
+order: H v = 2n v, v > 0, gcd 1, every column summing to 2n, and one
+forward search from rank 0 reaching every rank.  Given the column sums
+and v > 0, that one search proves H irreducible (the proof is in its
+docstring), so no search against the edges is needed.  The candidate v
+comes from power iteration in Python ints on the quotient of H by the
+rotation and reflection of the basis it commutes with (one value per
+symmetry orbit of patterns), rescaled and rounded; only the exact
+certificate, run on the full H, decides.
 
 ``verify_conjecture`` runs the full comparison between this spectral
 route and the grid census of :mod:`loopmodel.fpl` and returns a
@@ -216,43 +222,27 @@ def build_hamiltonian(n: int, max_n: int | None = None) -> SparseIntMatrix:
 # -- Perron-Frobenius certificate ------------------------------------------
 
 
-def strongly_connected(adj: Sequence[Iterable[int]]) -> bool:
-    """Whether the directed graph v -> w for w in adj[v] is strongly connected.
-
-    A search from vertex 0 must reach every vertex, both along the
-    edges and against them.
-    """
-    dim = len(adj)
-
-    def reaches_all(succ) -> bool:
-        seen = [False] * dim
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in succ[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return all(seen)
-
-    rev: list[list[int]] = [[] for _ in range(dim)]
-    for v, row in enumerate(adj):
-        for w in row:
-            rev[w].append(v)
-    return reaches_all(adj) and reaches_all(rev)
-
-
 def certify_perron(H: SparseIntMatrix, v: Iterable[int]) -> BigIntVector:
     """Prove that v is the coprime positive eigenvector of H at 2n.
 
-    Checks in exact integers, in this order: H v = 2n v, every
-    component positive, gcd 1, and a strongly connected graph of
-    nonzero entries; H is nonnegative by construction, its entries
-    being counts.  By Perron–Frobenius (see the module docstring) these
-    make 2n the simple top eigenvalue of H and v the one coprime
-    positive vector spanning its eigenspace.  The first failed check
-    raises ConjectureViolation with a details dict.
+    Five checks in exact integers, in this order: H v = 2n v, every
+    component positive, gcd 1, every column of H summing to 2n, and one
+    search from rank 0 along the edges c -> r of the nonzero entries
+    H[r, c] reaching every rank.  H is nonnegative by construction, its
+    entries being counts.  The first failed check raises
+    ConjectureViolation with a details dict.
+
+    Given the first two, the last two make H irreducible.  Let R be any
+    set of ranks that no edge leaves, and sum (H v)_r = 2n v_r over r in
+    R.  The right side is 2n times the sum of v over R.  On the left,
+    each column c in R puts all of its sum 2n into R, which already
+    gives that much, so every column outside R puts weight zero into R,
+    as v > 0: no edge enters R.  The ranks reached from any rank w form
+    such a set, and the path from rank 0 to w would enter it unless it
+    holds 0.  So every rank reaches 0, and 0 reaches every rank: the
+    graph is strongly connected.  By Perron–Frobenius (see the module
+    docstring) 2n is then the simple top eigenvalue of H and v the one
+    coprime positive vector spanning its eigenspace.
     """
     two_n = 2 * H.n
     ints = [int(c) for c in v]
@@ -274,7 +264,21 @@ def certify_perron(H: SparseIntMatrix, v: Iterable[int]) -> BigIntVector:
         raise ConjectureViolation(
             "eigenvector at 2n is not coprime", {"gcd": g}
         )
-    if not strongly_connected(H.columns):
+    bad = next((c for c, col in enumerate(H.columns) if len(col) != two_n), None)
+    if bad is not None:
+        raise ConjectureViolation(
+            f"column sum is not 2n={two_n}: one search cannot prove H irreducible",
+            {"first_bad_column": bad, "column_sum": len(H.columns[bad])},
+        )
+    seen = bytearray(H.dim)
+    seen[0] = 1
+    stack = [0]
+    while stack:
+        for r in H.columns[stack.pop()]:
+            if not seen[r]:
+                seen[r] = 1
+                stack.append(r)
+    if not all(seen):
         raise ConjectureViolation(
             "matrix is reducible; the eigenvalue 2n need not be simple",
             {"dim": H.dim},
@@ -416,7 +420,10 @@ def preimage_sum(n: int, p: _pat.LinkPattern, hist: _fpl.PatternHistogram) -> in
 
     Double sum over operator indices i and patterns q with
     apply_h(i, q) = p, of the census count of q, computed directly from
-    the definition (no matrix involved).
+    the definition (no matrix involved).  It is the definition-direct
+    reference for :func:`preimage_sums_all`, which verify uses; it
+    rescans the whole basis per target, so it suits small n and single
+    patterns.
     """
     total = 0
     for q in _pat.enumerate_patterns(n):

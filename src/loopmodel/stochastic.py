@@ -349,13 +349,7 @@ def sample_stationary(n: int, burn_in: int = 1000, samples: int = 100_000,
     )
 
 
-# -- chain structure checks ------------------------------------------------
-
-
-def is_irreducible(n: int) -> bool:
-    """Strong connectivity of the transition graph over the hop table."""
-    _pat.check_n(n)
-    return _spec.strongly_connected(_pat.hop_table(n))
+# -- chain structure check -------------------------------------------------
 
 
 def is_aperiodic(n: int) -> bool:

@@ -17,6 +17,10 @@ them.
 The closed-form stub numbers give each side's numbered stubs by
 arithmetic; the tests compare the clockwise walk of fpl.stub_positions
 with them.
+
+The two-way strong-connectivity search assumes nothing of the graph;
+the tests check the chain's irreducibility with it and set it beside
+the certificate's one forward search, which needs equal column sums.
 """
 from __future__ import annotations
 
@@ -106,6 +110,33 @@ def census_per_key(n: int) -> dict[int, int]:
         rank = fpl._pattern_rank(n, packed, rank_of)
         counts[rank] = counts.get(rank, 0) + mult
     return counts
+
+
+def strongly_connected(adj) -> bool:
+    """Whether the directed graph v -> w for w in adj[v] is strongly connected.
+
+    A search from vertex 0 must reach every vertex, both along the
+    edges and against them.
+    """
+    dim = len(adj)
+
+    def reaches_all(succ) -> bool:
+        seen = [False] * dim
+        seen[0] = True
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for w in succ[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        return all(seen)
+
+    rev: list[list[int]] = [[] for _ in range(dim)]
+    for v, row in enumerate(adj):
+        for w in row:
+            rev[w].append(v)
+    return reaches_all(adj) and reaches_all(rev)
 
 
 def dense_rows(H, shift: int = 0) -> list[list[int]]:

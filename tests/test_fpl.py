@@ -518,6 +518,17 @@ def test_state_at_matches_enumeration(monkeypatch):
             fpl.state_at(4, k)
 
 
+def test_streamed_states_pass_the_public_checks():
+    # enumerate_states and state_at build their states from the row table
+    # without the constructor's checks; each must equal the state that
+    # the checking constructor builds from the same grid
+    for n in range(1, 6):
+        for s in fpl.enumerate_states(n):
+            assert s == fpl.FplState(n, s.grid)
+        last = fpl.state_at(n, fpl.asm_count(n) - 1)
+        assert last == fpl.FplState(n, last.grid) == s
+
+
 def test_state_at_refuses_a_row_table_that_miscounts(monkeypatch):
     real = fpl._row_moves
 

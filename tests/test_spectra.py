@@ -13,11 +13,12 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from exact_reference import dense_rows, kernel_bareiss
+from exact_reference import dense_rows, kernel_bareiss, strongly_connected
 from loopmodel import fpl, patterns, spectra, stochastic
 from loopmodel.errors import CapacityError, ConjectureViolation
 
@@ -155,7 +156,11 @@ def test_violation_on_nonpositive_component():
     # (1, 1) is a positive coprime eigenvector at 4, but 4 is a double
     # eigenvalue: the two vertices are not connected
     (spectra.SparseIntMatrix(2, [[0] * 4, [1] * 4]), [1, 1], "reducible"),
-], ids=["census-plus-one", "census-doubled", "reducible"])
+    # H = [[2, 0], [1, 1]]: (1, 1) has H v = 2v, is positive and coprime,
+    # and the search from 0 reaches rank 1, yet rank 1 never reaches 0;
+    # one forward search proves nothing without equal column sums
+    (spectra.SparseIntMatrix(1, [[0, 0, 1], [1]]), [1, 1], "column sum"),
+], ids=["census-plus-one", "census-doubled", "reducible", "unequal-column-sums"])
 def test_certificate_rejects(matrix, vector, reason):
     H = spectra.build_hamiltonian(4) if matrix is None else matrix
     with pytest.raises(ConjectureViolation) as exc:
@@ -325,6 +330,14 @@ def test_verdicts_survive_optimized_mode():
             pass
         else:
             raise SystemExit("non-coprime vector was certified")
+        unequal = spectra.SparseIntMatrix(1, [[0, 0, 1], [1]])
+        try:
+            spectra.certify_perron(unequal, [1, 1])
+        except ConjectureViolation as exc:
+            if "column sum" not in str(exc):
+                raise SystemExit(f"refused by another check: {exc}")
+        else:
+            raise SystemExit("unequal column sums were certified")
     """)
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -334,10 +347,39 @@ def test_verdicts_survive_optimized_mode():
 
 
 def test_strongly_connected():
-    assert spectra.strongly_connected([[1], [2], [0]])
-    assert not spectra.strongly_connected([[1], [2], []])
-    assert not spectra.strongly_connected([[0], [1]])
-    assert spectra.strongly_connected([[]])
+    # the two-way reference search that the certificate's one forward
+    # search replaces
+    assert strongly_connected([[1], [2], [0]])
+    assert not strongly_connected([[1], [2], []])
+    assert not strongly_connected([[0], [1]])
+    assert strongly_connected([[]])
+
+
+def test_reducible_with_equal_column_sums_fails_an_earlier_check():
+    # H = [[2, 0], [2, 4]]: both columns sum to 4 and the search from 0
+    # reaches rank 1, but rank 1 never reaches 0; as the proof in
+    # certify_perron says, no positive eigenvector at 4 exists
+    M = spectra.SparseIntMatrix(2, [[0, 0, 1, 1], [1, 1, 1, 1]])
+    assert M.column_sums() == [4, 4]
+    assert not strongly_connected(M.columns)
+    with pytest.raises(ConjectureViolation, match="no eigenvector"):
+        spectra.certify_perron(M, [1, 1])
+    with pytest.raises(ConjectureViolation, match="nonpositive"):
+        spectra.perron_vector(M)
+
+
+def test_certificate_memory_n10():
+    # one forward search over a byte per rank: 1.0 MB above H at n = 10,
+    # against 5.8 MB for the two-way search with its reverse adjacency
+    H = spectra.build_hamiltonian(10)
+    v = spectra.perron_vector(H).components
+    tracemalloc.start()
+    try:
+        spectra.certify_perron(H, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("row", [-1, 5])

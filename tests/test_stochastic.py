@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from exact_reference import strongly_connected
 from loopmodel import fpl, patterns, stochastic as st
 from loopmodel.stochastic import SplitMix64
 
@@ -282,7 +283,7 @@ def test_default_tolerance_shape():
 
 @pytest.mark.parametrize("n", list(range(1, 9)))
 def test_chain_is_irreducible_and_aperiodic(n):
-    assert st.is_irreducible(n)
+    assert strongly_connected(patterns.hop_table(n))
     assert st.is_aperiodic(n)
 
 
