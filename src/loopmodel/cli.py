@@ -95,7 +95,7 @@ def cache_store(n: int, name: str, payload: dict) -> Path:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            _write_json(obj, fh, indent=1)
+            fh.writelines(_json_chunks(obj, 1))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -125,28 +125,20 @@ def _store(n: int, name: str, payload: dict) -> None:
         print(f"warning: {name} not cached: {exc}", file=sys.stderr)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-        print(f"wrote {out}")
-
-
-def _write_json(obj, fh, indent: int) -> None:
-    """Write json.dumps(obj, indent=indent, sort_keys=True) + "\n" to fh
+def _json_chunks(obj, indent: int):
+    """The text of json.dumps(obj, indent=indent, sort_keys=True) + "\n",
     chunk by chunk, so the whole text is never held at once."""
-    fh.writelines(json.JSONEncoder(sort_keys=True, indent=indent).iterencode(obj))
-    fh.write("\n")
+    yield from json.JSONEncoder(sort_keys=True, indent=indent).iterencode(obj)
+    yield "\n"
 
 
-def _emit_json(obj, out: str | None) -> None:
-    """_emit of an indented JSON artifact, streamed."""
+def _emit(chunks, out: str | None) -> None:
+    """Write an artifact's text chunks to stdout, or to the file out."""
     if out is None or out == "-":
-        _write_json(obj, sys.stdout, indent=2)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w") as fh:
-            _write_json(obj, fh, indent=2)
+            fh.writelines(chunks)
         print(f"wrote {out}")
 
 
@@ -196,9 +188,9 @@ def cmd_enumerate(args) -> int:
     if len(rows) > len(shown):
         print(f"  ... {len(rows) - len(shown)} more rows in the artifact")
     if args.format == "csv":
-        _emit(hist.to_csv_text(), args.out)
+        _emit([hist.to_csv_text()], args.out)
     elif args.format == "json":
-        _emit_json(hist.to_json_obj(), args.out)
+        _emit(_json_chunks(hist.to_json_obj(), 2), args.out)
     return EXIT_OK
 
 
@@ -220,15 +212,15 @@ def cmd_groundstate(args) -> int:
     print(f"  component sum {psi.total()}")
     print(f"  component max {psi.maximum()}")
     if args.format == "json":
-        _emit_json(psi.to_json_obj(), args.out)
+        _emit(_json_chunks(psi.to_json_obj(), 2), args.out)
     elif args.format == "csv":
         lines = ["rank,component"]
         lines += [f"{r},{v}" for r, v in enumerate(psi.components)]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     else:
-        _emit(" ".join(str(v) for v in psi.components) + "\n", args.out)
-    if args.with_matrix:
-        _emit(H.to_coo_text(), args.matrix_out)
+        _emit([" ".join(str(v) for v in psi.components) + "\n"], args.out)
+    if args.with_matrix or args.matrix_out:
+        _emit([H.to_coo_text()], args.matrix_out)
     return EXIT_OK
 
 
@@ -242,7 +234,7 @@ def cmd_verify(args) -> int:
     for line in report.summary_lines():
         print(line)
     if args.out:
-        _emit_json(report.to_json_obj(), args.out)
+        _emit(_json_chunks(report.to_json_obj(), 2), args.out)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -267,7 +259,7 @@ def cmd_sample(args) -> int:
             f"  tv distance {rep.tv_distance:.6f} vs tolerance "
             f"{rep.tolerance:.6f}: {'pass' if rep.passed else 'FAIL'}"
         )
-    _emit_json(rep.to_json_obj(), args.out)
+    _emit(_json_chunks(rep.to_json_obj(), 2), args.out)
     if rep.passed is False:
         return EXIT_FAIL
     return EXIT_OK
@@ -277,20 +269,20 @@ def cmd_render(args) -> int:
     if args.pattern is not None:
         p = _pat.LinkPattern.from_text(args.pattern)
         if args.format == "svg":
-            _emit(_render.svg_chords(p), args.out)
+            _emit([_render.svg_chords(p)], args.out)
         else:
-            _emit(p.to_parens() + "\n" + p.to_text() + "\n", args.out)
+            _emit([p.to_parens() + "\n" + p.to_text() + "\n"], args.out)
         return EXIT_OK
     if args.n is None:
         raise ValueError("render needs --pattern or -n with --index")
     state = _fpl.state_at(args.n, args.index, max_n=args.max_n)
     if args.format == "svg":
-        _emit(_render.svg_chords(_fpl.link_pattern_of(state)), args.out)
+        _emit([_render.svg_chords(_fpl.link_pattern_of(state))], args.out)
     else:
         text = _render.ascii_state(state)
         if args.with_asm:
             text += "\n" + _fpl.state_to_asm(state).to_text()
-        _emit(text, args.out)
+        _emit([text], args.out)
     return EXIT_OK
 
 
@@ -334,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-matrix", action="store_true",
                    help="also write the matrix in coordinate text form")
     p.add_argument("--matrix-out", default=None,
-                   help="path for --with-matrix output")
+                   help="write the matrix here; implies --with-matrix")
     p.set_defaults(func=cmd_groundstate)
 
     p = sub.add_parser("verify", help="census versus eigenvector, full report")

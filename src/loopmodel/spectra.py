@@ -37,7 +37,6 @@ structured report rather than raising on mathematical surprises.
 """
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections import Counter, deque
@@ -493,9 +492,6 @@ class VerificationReport(Record):
                 for c in self.checks
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
     def summary_lines(self) -> list[str]:
         out = []

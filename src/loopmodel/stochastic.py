@@ -20,7 +20,6 @@ bit-identical to calling the scalar generator once per move.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from array import array
@@ -276,9 +275,6 @@ class SamplerReport(Frozen):
             "tv_distance": self.tv_distance,
             "pass": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
 
 def default_tv_tolerance(n: int, samples: int) -> float:

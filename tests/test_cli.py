@@ -185,6 +185,16 @@ def test_groundstate_matrix_export(cache, tmp_path):
     assert "0 0 2" in mx.read_text()
 
 
+def test_matrix_out_alone_writes_the_matrix(cache, tmp_path):
+    # --matrix-out implies --with-matrix: both write the same bytes
+    alone, both = tmp_path / "alone.txt", tmp_path / "both.txt"
+    assert run(["groundstate", "-n", "4", "--matrix-out", str(alone)]) == 0
+    assert run(["groundstate", "-n", "4", "--with-matrix",
+                "--matrix-out", str(both)]) == 0
+    assert alone.read_bytes() == both.read_bytes()
+    assert alone.read_text() == spectra.build_hamiltonian(4).to_coo_text()
+
+
 def test_verify_pass_and_report(cache, tmp_path, capsys):
     out = tmp_path / "r4.json"
     assert run(["verify", "-n", "4", "--out", str(out)]) == 0
@@ -637,6 +647,12 @@ STARTUP_FREE = ["dataclasses", "inspect", "fractions", "decimal", "typing"]
 def test_import_loads_no_dataclasses_or_fractions(tmp_path):
     code = "import loopmodel, loopmodel.cli"
     assert _loaded_after(code, STARTUP_FREE, tmp_path, no_site=True) == []
+
+
+def test_library_import_loads_no_json_or_re(tmp_path):
+    # the command line is the only code that turns a record into JSON text
+    assert _loaded_after("import loopmodel", ["json", "re"], tmp_path,
+                         no_site=True) == []
 
 
 def test_commands_load_no_dataclasses_or_fractions(tmp_path):

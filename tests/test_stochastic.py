@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from exact_reference import strongly_connected
-from loopmodel import fpl, patterns, stochastic as st
+from loopmodel import cli, fpl, patterns, stochastic as st
 from loopmodel.stochastic import SplitMix64
 
 # reference first outputs of the 64-bit generator for seed 0 and 1,
@@ -193,23 +193,25 @@ def test_sampler_fixed_trajectory_regression():
     assert rep.counts == (11, 4, 1, 2, 1, 3, 1, 2, 0, 4, 0, 8, 3, 0)
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def _sampled_file_sha256(argv, tmp_path, monkeypatch) -> str:
+    # the digest of the report `sample ... --no-compare --out FILE` writes
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "cache"))
+    out = tmp_path / "s.json"
+    assert cli.main(["sample", *argv, "--no-compare", "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def test_sampler_json_pinned_n6_three_chains():
-    rep = st.sample_stationary(6, burn_in=1000, samples=100_000, seed=3,
-                               chains=3, compare=False)
-    assert _sha256(rep.to_json()) == (
+def test_sampler_json_pinned_n6_three_chains(tmp_path, monkeypatch):
+    argv = ["-n", "6", "--chains", "3", "--burn-in", "1000",
+            "--samples", "100000", "--seed", "3"]
+    assert _sampled_file_sha256(argv, tmp_path, monkeypatch) == (
         "0ec6731c5d41397ec1c9891cd3339e5d4c6c73df0c3aa04a7eaf6679407e58f2")
 
 
-def test_sampler_json_pinned_n10():
-    # the bytes `sample -n 10 --no-compare --seed 1 --samples 1000000` writes;
+def test_sampler_json_pinned_n10(tmp_path, monkeypatch):
     # 1,001,000 steps cross many 4096-draw blocks and a partial last one
-    rep = st.sample_stationary(10, burn_in=1000, samples=1_000_000, seed=1,
-                               compare=False)
-    assert _sha256(rep.to_json()) == (
+    argv = ["-n", "10", "--samples", "1000000", "--seed", "1"]
+    assert _sampled_file_sha256(argv, tmp_path, monkeypatch) == (
         "f0505aecaed35d5acc36d981e03eca568f48019355ce64f7f0444f95e002fea1")
 
 
