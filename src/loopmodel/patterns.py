@@ -34,11 +34,21 @@ looked up in the basis index, and that lookup is its validity check:
 only noncrossing matchings are keys.  ``rotate`` and ``reflect`` stay
 as the definition-direct references, as ``apply_h`` does beside
 ``_rewire``.  ``LinkPattern.match`` stays the public tuple form.
+
+``enumerate_patterns`` and ``unrank`` read their patterns off the basis
+through the private ``LinkPattern._from_basis``, which skips the
+constructor's checks.  That is safe because ``_lex_matchings`` builds
+only noncrossing matchings, and ``test_basis_order_pinned`` and
+``test_basis_holds_sorted_match_bytes`` pin the basis it builds.  Every
+other way to a pattern keeps every check: the constructor, the
+``from_*`` parsers, ``apply_h``, ``rotate``, ``reflect`` and
+``fpl.link_pattern_of``.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import itemgetter
 
 from ._record import Frozen, set_field
 from .errors import CapacityError
@@ -82,7 +92,13 @@ class LinkPattern(Frozen):
     """An immutable noncrossing perfect matching of 2n circle positions.
 
     ``match`` is 0-based: ``match[i]`` is the partner of position i.
-    All constructors validate; an invalid array never becomes a value.
+    Every public constructor validates; an invalid array never becomes a
+    value.  The one exception is private: ``_from_basis`` builds the
+    patterns that ``enumerate_patterns`` and ``unrank`` read off the
+    per-n basis without re-checking them.  That is safe because
+    ``_lex_matchings`` builds only noncrossing matchings, and
+    ``test_basis_order_pinned`` and ``test_basis_holds_sorted_match_bytes``
+    pin the basis it builds.
     """
 
     __slots__ = _fields = ("n", "match")
@@ -118,6 +134,19 @@ class LinkPattern(Frozen):
                 )
 
     # -- constructors ------------------------------------------------
+
+    @classmethod
+    def _from_basis(cls, n: int, match: tuple[int, ...]) -> LinkPattern:
+        """A pattern read off the basis, without re-checking.
+
+        The basis holds only noncrossing matchings, so enumerate_patterns
+        and unrank skip the constructor's checks, which were most of
+        enumerate_patterns' cost.
+        """
+        pattern = object.__new__(cls)
+        set_field(pattern, "n", n)
+        set_field(pattern, "match", match)
+        return pattern
 
     @classmethod
     def from_pairs(cls, pairs) -> LinkPattern:
@@ -334,7 +363,7 @@ def _basis(n: int) -> tuple[tuple[bytes, ...], dict[bytes, int]]:
 
     Raw bytes only: the census ranks its final matchings and the hop
     table rewires them without a LinkPattern, and the public views
-    below build validated patterns, with tuple matches, on demand.
+    below build patterns, with tuple matches, on demand.
     """
     if n > MAX_BASIS_N:
         raise CapacityError(
@@ -347,7 +376,7 @@ def _basis(n: int) -> tuple[tuple[bytes, ...], dict[bytes, int]]:
 def enumerate_patterns(n: int, max_n: int | None = None) -> list[LinkPattern]:
     """All noncrossing patterns of size n in canonical (ranked) order."""
     check_n(n, max_n)
-    return [LinkPattern(n, tuple(m)) for m in _basis(n)[0]]
+    return [LinkPattern._from_basis(n, tuple(m)) for m in _basis(n)[0]]
 
 
 def rank(p: LinkPattern) -> int:
@@ -357,7 +386,7 @@ def rank(p: LinkPattern) -> int:
 
 def unrank(n: int, r: int) -> LinkPattern:
     """Inverse of rank: the pattern with the given rank."""
-    return LinkPattern(n, _match_of(n, r))
+    return LinkPattern._from_basis(n, _match_of(n, r))
 
 
 def _match_of(n: int, r: int) -> tuple[int, ...]:
@@ -403,6 +432,8 @@ def hop_table(n: int) -> tuple[tuple[int, ...], ...]:
     """
     index = _basis(n)[1]
     rot = rotation_permutation(n)
+    # shift(row) is row[-1:] + row[:-1] without the two slice temporaries
+    shift = itemgetter(2 * n - 1, *range(2 * n - 1))
     rows: list = [None] * len(index)
     for first, m in enumerate(index):
         if rows[first] is not None:
@@ -411,5 +442,5 @@ def hop_table(n: int) -> tuple[tuple[int, ...], ...]:
         while rows[r] is None:
             rows[r] = row
             r = rot[r]
-            row = tuple(map(rot.__getitem__, row[-1:] + row[:-1]))
+            row = tuple(map(rot.__getitem__, shift(row)))
     return tuple(rows)

@@ -36,7 +36,7 @@ FORMAT_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_BLOCK = 4096  # most draws the chain takes from one lane-packed block
+_BLOCK = 4096  # most lanes in one lane-packed block of draws
 
 
 def _mix(z: int, mask: int) -> int:
@@ -95,7 +95,9 @@ class SplitMix64:
         """[self.randbelow(k) for _ in range(count)], computed in lanes.
 
         Lane i of a block holds the state after i + 1 steps; every lane
-        is mixed at once and read back as 64-bit words.  Rejected draws
+        is mixed at once and read back as 64-bit words.  A block holds
+        at most _BLOCK lanes, so a large count neither mixes one huge
+        int nor leaves its lane constants in the cache.  Rejected draws
         are dropped and the shortfall comes from a further block, so the
         draws and the final state match the scalar calls exactly.
         """
@@ -104,7 +106,7 @@ class SplitMix64:
         limit = (1 << 64) - ((1 << 64) % k)
         out: list[int] = []
         while len(out) < count:
-            need = count - len(out)
+            need = min(count - len(out), _BLOCK)
             ones, steps, mask = _lane_constants(need)
             z = _mix((self.state * ones + steps) & mask, mask)
             words = array("Q", z.to_bytes(16 * need, "little"))

@@ -147,11 +147,47 @@ def crossing_rank_zero_at_n3(monkeypatch):
     pat._basis.cache_clear()
 
 
-def test_crossing_matching_in_the_basis_is_refused(crossing_rank_zero_at_n3):
+def test_crossing_matching_in_the_basis_fails_the_public_check(
+        crossing_rank_zero_at_n3):
+    # the basis views build their patterns without re-checking, so a
+    # crossing matching in the basis comes back as it is; the public
+    # constructor refuses it, which is what the test below relies on
+    crossing = (2, 3, 0, 1, 5, 4)
+    assert pat.enumerate_patterns(3)[0].match == crossing
+    assert pat.unrank(3, 0).match == crossing
     with pytest.raises(ValueError, match="chords cross"):
-        pat.enumerate_patterns(3)
-    with pytest.raises(ValueError, match="chords cross"):
-        pat.unrank(3, 0)
+        LinkPattern(3, crossing)
+
+
+def test_basis_patterns_pass_the_public_checks():
+    # enumerate_patterns and unrank read their patterns off the basis
+    # without the constructor's checks; each must equal the pattern that
+    # the checking constructor builds from the same match
+    for n in range(1, 9):
+        basis = pat.enumerate_patterns(n)
+        for r, p in enumerate(basis):
+            assert type(p.match) is tuple
+            assert p == LinkPattern(n, p.match) == pat.unrank(n, r)
+
+
+def test_only_the_basis_views_skip_the_checks(monkeypatch):
+    class Checked(Exception):
+        pass
+
+    def refuse(m, size):
+        raise Checked
+
+    monkeypatch.setattr(pat, "_noncrossing_involution", refuse)
+    basis = pat.enumerate_patterns(5)
+    p = pat.unrank(5, 3)
+    assert p == basis[3]
+    for build in (lambda: LinkPattern(5, p.match),
+                  lambda: apply_h(2, basis[0]),
+                  lambda: pat.rotate(p),
+                  lambda: pat.reflect(p),
+                  lambda: LinkPattern.from_text(p.to_text())):
+        with pytest.raises(Checked):
+            build()
 
 
 def test_rank_unrank_round_trip():
@@ -181,6 +217,20 @@ def test_hop_table_matches_apply_h():
             assert row == tuple(
                 pat.rank(apply_h(i, q)) for i in range(1, 2 * n + 1)
             )
+
+
+def test_hop_table_commutes_with_rotation():
+    # apply_h(i + 1, rotate(p)) = rotate(apply_h(i, p)), checked on the
+    # table's entries apart from how hop_table fills its rows
+    for n in range(1, 9):
+        size = 2 * n
+        hop = pat.hop_table(n)
+        rot = pat.rotation_permutation(n)
+        for r, row in enumerate(hop):
+            image = hop[rot[r]]
+            assert [image[(i + 1) % size] for i in range(size)] == [
+                rot[q] for q in row
+            ]
 
 
 # sha256 of the hop table as space-separated rows and of the symmetry
