@@ -65,27 +65,32 @@ one marker, so a member is its stub numbers in column order alone.  A
 level is keyed by v first, {v: {marked linkage: group}}, so the moves
 out of each (row, v) are read once and shared by all of its groups,
 2**n - 1 reads a census.  A level numbers its members' stub tuples,
-and a group is one flat dict {stub code << ARC_BITS * 2n | packed arcs:
-multiplicity}, with no dict per member.  Each (shape, move) is advanced
-once, on a linkage whose stub at column j carries the placeholder label
-2n + 1 + j, above every real stub.  One pass over the advanced linkage
-then yields the new shape and the move's stub effect: the source of
-each new stub in column order (a member's stub, by ordinal, or one of
-the row's own) and the new arcs as pairs of sources.  Many moves of a
-group share one effect, so a popped group is regrouped by code once,
-its entries are re-keyed once per effect into one dict, and each move
-with that effect adds that dict into its target group in a plain loop
-over its entries.  A group is released once advanced, so one level
-shrinks while the next grows.  Rows 1..n are the same step.  Every
-move raises the count of down arrows by one, so every move out of row
-n ends at the all-down mask; one short pass over the last level then
-rebuilds each member's linkage, closes it onto the numbered bottom
-stubs and checks and ranks each final value as a perfect noncrossing
-matching.  Totals are exact integers throughout.  The sweep is one
-pass in one process, since a level split into slices cannot merge
-across them.  `enumerate_states` streams the individual states instead
-and never merges, and `state_at` picks one of them by its index from
-the number of completions below each (row, v).
+and it numbers its distinct keys, stub code << ARC_BITS * 2n | packed
+arcs, once: a group is one flat dict {key id: multiplicity}, so each
+big-integer key is held once a level and every merge hashes a small
+integer.  Each (shape, move) is advanced once, on a linkage whose stub
+at column j carries the placeholder label 2n + 1 + j, above every real
+stub.  One pass over the advanced linkage then yields the new shape
+and the move's stub effect: the source of each new stub in column
+order (a member's stub, by ordinal, or one of the row's own) and the
+new arcs as pairs of sources.  An effect sends a stub code to the same
+new code and arcs, and a key to the same new key, in every group of
+the row, so each distinct effect of a row memoizes both maps.  Many
+moves of a group share one effect, so a popped group is re-keyed once
+per effect through its memos into one dict, and each move with that
+effect adds that dict into its target group in a plain loop over its
+entries.  A group is released once advanced, and a row's key list and
+memos once the row is done, so one level shrinks while the next grows.
+Rows 1..n are the same step.  Every move raises the count of down
+arrows by one, so every move out of row n ends at the all-down mask;
+one short pass over the last level then reads each key back through
+the level's key list, rebuilds its linkage, closes it onto the
+numbered bottom stubs and checks and ranks each final value as a
+perfect noncrossing matching.  Totals are exact integers throughout.
+The sweep is one pass in one process, since a level split into slices
+cannot merge across them.  `enumerate_states` streams the individual
+states instead and never merges, and `state_at` picks one of them by
+its index from the number of completions below each (row, v).
 """
 from __future__ import annotations
 
@@ -674,36 +679,45 @@ def _pattern_rank(n: int, packed: int, rank_of: dict) -> int:
     return rank
 
 
-def _by_code(group: dict, shift: int) -> dict:
-    """A flat shape group regrouped as {stub code: {packed arcs: count}}."""
-    mask, out = (1 << shift) - 1, {}
-    for key, mult in group.items():
-        out.setdefault(key >> shift, {})[key & mask] = mult
-    return out
+def _rekey(group: dict, keys: list, effect: tuple, stubs: list, tail: tuple,
+           arc: list, codes: dict, ids: dict, shift: int) -> dict:
+    """Apply one stub effect to every entry of a flat shape group.
 
-
-def _rekey(members: list, idx: tuple, links: tuple, arc: list, codes: dict,
-           shift: int) -> dict:
-    """Apply one stub effect to every member of a shape group.
-
-    A member is (X, bucket), X being its stub numbers in column order
-    followed by the row's own stub numbers.  idx picks the new stubs out
-    of X in column order and links holds the new arcs as index pairs
-    into X.  codes numbers the next level's stub tuples.  Returns the
-    re-keyed entries {code of the new stubs << shift | packed arcs:
-    multiplicity}; members whose entries meet on one key are summed.
+    group maps key ids of the level to multiplicities, and keys[id] is
+    the key, stub code << shift | packed arcs.  A member's stubs are
+    X = stubs[code] + tail, the row's own stub numbers last.  effect is
+    (pick, links, offsets, moved): pick takes the new stubs out of X in
+    column order, links holds the new arcs as index pairs into X, and
+    the two memos, shared by every group of the row with this effect,
+    map a stub code to its new code << shift plus its new packed arcs,
+    and a key id to its new key id.  codes numbers the next level's
+    stub tuples and ids its keys.  Returns the re-keyed group {new key
+    id: multiplicity}; entries that meet on one new key are summed.
     """
-    # itemgetter of fewer than two indices returns no tuple
-    get = itemgetter(*idx) if len(idx) > 1 else lambda X: tuple([X[i] for i in idx])
+    pick, links, offsets, moved = effect
+    mask = (1 << shift) - 1
     out: dict = {}
     count = out.get
-    for X, bucket in members:
-        base = codes.setdefault(get(X), len(codes)) << shift
-        for i, j in links:
-            base += arc[X[i]][X[j]]
-        for packed, mult in bucket.items():
-            packed += base
-            out[packed] = count(packed, 0) + mult
+    for kid, mult in group.items():
+        nid = moved.get(kid)
+        if nid is None:
+            key = keys[kid]
+            code = key >> shift
+            base = offsets.get(code)
+            if base is None:
+                X = stubs[code] + tail
+                try:
+                    base = codes.setdefault(pick(X), len(codes)) << shift
+                    for i, j in links:
+                        base += arc[X[i]][X[j]]
+                except IndexError:
+                    raise ConjectureViolation(
+                        "a member has fewer stubs than its stub effect reads",
+                        {"stubs": X}, check="census-sweep",
+                    ) from None
+                offsets[code] = base
+            nid = moved[kid] = ids.setdefault(base + (key & mask), len(ids))
+        out[nid] = count(nid, 0) + mult
     return out
 
 
@@ -711,21 +725,24 @@ def _census(n: int) -> dict[int, int]:
     """Run the shape-group sweep from row 1 to completion.
 
     A level maps each arrow mask v to its shape groups, {marked frontier:
-    flat dict {stub code << ARC_BITS * 2n | packed arcs: multiplicity}},
-    the marked frontier having every stub token replaced by -1 and the
-    code indexing the level's list of member stub tuples.  The moves out
-    of (row, v) are read through _moves_from once and shared by every
-    group of that v.  A popped group is regrouped by code once
-    (_by_code), and each (shape, move) is advanced once by _apply_row on
-    placeholder stub labels; one pass over the advanced frontier marks
-    it and maps those labels to indices into X, a member's stubs
-    followed by the row's own stub numbers, which with the new arcs is
-    the move's stub effect (see the module docstring).  _rekey builds
-    each distinct effect's dict once, and each move with that effect
-    adds it into its target group entry by entry; a new target starts as
-    a copy, never as that dict.  A last pass closes each member onto the
-    bottom stubs and ranks each entry.  Returns a dict rank -> count over
-    final link patterns.
+    flat dict {key id: multiplicity}}, the marked frontier having every
+    stub token replaced by -1.  The level numbers its distinct keys,
+    stub code << ARC_BITS * 2n | packed arcs, once in a dict read back
+    as the list keys, and the code indexes the level's list of member
+    stub tuples.  The moves out of (row, v) are read through _moves_from
+    once and shared by every group of that v.  Each (shape, move) is
+    advanced once by _apply_row on placeholder stub labels; one pass
+    over the advanced frontier marks it and maps those labels to indices
+    into X, a member's stubs followed by the row's own stub numbers,
+    which with the new arcs is the move's stub effect (see the module
+    docstring).  Each distinct effect of a row holds two memos, stub
+    code -> new code and arcs, key id -> new key id, so _rekey walks a
+    popped group once per effect, and each move with that effect adds
+    the result into its target group entry by entry; a new target
+    starts as a copy, never as that dict.  A last pass reads each key
+    back through the key list, closes its stubs onto the bottom stubs
+    and ranks it.  Returns a dict rank -> count over final link
+    patterns.
     """
     if 2 * n >= 1 << ARC_BITS:
         raise CapacityError(
@@ -742,6 +759,7 @@ def _census(n: int) -> dict[int, int]:
             arc[a][b] = arc[b][a] = _pack(((a, b),))
     F0 = _initial_frontier(n)
     level: dict = {0: {tuple([None if t is None else -1 for t in F0]): {0: 1}}}
+    ids: dict = {0: 0}  # key -> key id; key 0 is code 0 with no arcs
     stubs = [tuple([-t for t in F0 if t is not None])]  # code -> stub tuple
     for r in range(1, n + 1):
         left, right = _row_tokens(n, r)
@@ -749,15 +767,16 @@ def _census(n: int) -> dict[int, int]:
         # stubs + tail
         tail = (*(() if left is None else (-left,)),
                 *(() if right is None else (right,)))
+        keys = list(ids)  # key id -> key
         nxt: dict = {}
         codes: dict = {}  # stub tuple of level r + 1 -> its code
+        ids = {}  # key of level r + 1 -> its id
+        effects: dict = {}  # stub effect -> (pick, links, memos), per row
         while level:
             v, groups = level.popitem()
             row_moves = list(_moves_from(moves, n, v, r & 1))
             while groups:
-                Fs, members = groups.popitem()
-                members = [(stubs[code] + tail, bucket)
-                           for code, bucket in _by_code(members, shift).items()]
+                Fs, group = groups.popitem()
                 cols = [j for j, t in enumerate(Fs) if t == -1]
                 # stub token -> index in X: the placeholder -(2n + 1 + j) of
                 # the stub at column j -> its ordinal, the row's stubs -> the
@@ -778,7 +797,15 @@ def _census(n: int) -> dict[int, int]:
                     effect = (tuple(idx), tuple([(at[-a], at[-b]) for a, b in new]))
                     targets.setdefault(effect, []).append((v2, tuple(F)))
                 for effect, shapes in targets.items():
-                    entries = _rekey(members, *effect, arc, codes, shift)
+                    memo = effects.get(effect)
+                    if memo is None:
+                        idx, links = effect
+                        # itemgetter of fewer than two indices returns no tuple
+                        pick = (itemgetter(*idx) if len(idx) > 1
+                                else lambda X, idx=idx: tuple([X[i] for i in idx]))
+                        memo = effects[effect] = (pick, links, {}, {})
+                    entries = _rekey(group, keys, memo, stubs, tail, arc, codes,
+                                     ids, shift)
                     for v2, Fs2 in shapes:
                         tier = nxt.get(v2)
                         if tier is None:
@@ -788,23 +815,29 @@ def _census(n: int) -> dict[int, int]:
                             tier[Fs2] = entries.copy()
                         else:
                             get = target.get
-                            for key, mult in entries.items():
-                                target[key] = get(key, 0) + mult
+                            for kid, mult in entries.items():
+                                target[kid] = get(kid, 0) + mult
         level, stubs = nxt, list(codes)
+        del keys, effects  # the row's key list and memos go before the next's
 
     _, rank_of = _pat._basis(n)
+    keys, mask = list(ids), (1 << shift) - 1
     counts: dict[int, int] = {}
     for groups in level.values():
         for Fs, group in groups.items():
             cols = [j for j, t in enumerate(Fs) if t == -1]
-            for code, bucket in _by_code(group, shift).items():
-                F = list(Fs)
-                for j, s in zip(cols, stubs[code]):
-                    F[j] = -s
-                closing = _pack(_bottom_arcs(n, F))
-                for packed, mult in bucket.items():
-                    rank = _pattern_rank(n, packed + closing, rank_of)
-                    counts[rank] = counts.get(rank, 0) + mult
+            closings: dict = {}  # stub code -> packed arcs onto the bottom stubs
+            for kid, mult in group.items():
+                key = keys[kid]
+                code = key >> shift
+                closing = closings.get(code)
+                if closing is None:
+                    F = list(Fs)
+                    for j, s in zip(cols, stubs[code]):
+                        F[j] = -s
+                    closing = closings[code] = _pack(_bottom_arcs(n, F))
+                rank = _pattern_rank(n, (key & mask) + closing, rank_of)
+                counts[rank] = counts.get(rank, 0) + mult
     return counts
 
 

@@ -257,9 +257,20 @@ def _noncrossing_involution(m, size: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=8)
+def _labels(size: int) -> list[str]:
+    """labels[j]: the 1-based text of 0-based position j, built per size.
+
+    A list, not a tuple: list.__getitem__ is a fast method and the
+    tuple's a slot wrapper (the n = 9 CSV took 8.8-9.2 ms against
+    10.1-10.4 ms).
+    """
+    return [str(j + 1) for j in range(size)]
+
+
 def match_text(match: tuple[int, ...]) -> str:
     """The 1-based match array form of a 0-based match tuple."""
-    return " ".join(str(j + 1) for j in match)
+    return " ".join(map(_labels(len(match)).__getitem__, match))
 
 
 # -- elementary operators ---------------------------------------------

@@ -308,19 +308,24 @@ def test_census_advances_each_shape_once(monkeypatch):
 
 
 def test_census_rekeys_members_once_per_stub_effect(monkeypatch):
-    # a member's new stubs and arcs are worked out once per (group, stub
-    # effect) instead of once per (group, move): 4,373 re-keys against
-    # the 10,156 replays of the per-key sweep at n = 7
-    rekeyed = []
+    # a member code's new stubs and arcs are worked out once per (row,
+    # stub effect) and kept in the effect's memo: 603 code-offset
+    # computations at n = 7, against 4,373 re-keyed members when they
+    # were worked out once per (group, stub effect) and the 10,156
+    # replays of the per-key sweep
+    computed = []
     real = fpl._rekey
 
-    def counted(members, *args):
-        rekeyed.append(len(members))
-        return real(members, *args)
+    def counted(group, keys, effect, *args):
+        offsets = effect[2]
+        before = len(offsets)
+        out = real(group, keys, effect, *args)
+        computed.append(len(offsets) - before)
+        return out
 
     monkeypatch.setattr(fpl, "_rekey", counted)
     assert fpl._census(7) == census_per_key(7)
-    assert sum(rekeyed) == 4373
+    assert sum(computed) == 603
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -350,8 +355,8 @@ def test_census_refuses_a_stub_code_table_with_two_stubs_swapped(monkeypatch):
     real = fpl._rekey
     swapped = []
 
-    def corrupt(members, idx, links, arc, codes, shift):
-        out = real(members, idx, links, arc, codes, shift)
+    def corrupt(group, keys, effect, stubs, tail, arc, codes, ids, shift):
+        out = real(group, keys, effect, stubs, tail, arc, codes, ids, shift)
         S = None if swapped else next((S for S in codes if len(S) > 1), None)
         if S is not None:
             table = list(codes.items())
@@ -369,10 +374,50 @@ def test_census_refuses_a_stub_code_table_with_two_stubs_swapped(monkeypatch):
     assert "crossing matching" in rep.checks[0].details
 
 
+@pytest.mark.parametrize("same_width, check", [
+    (False, "census-sweep"), (True, "census-equals-eigenvector")])
+def test_census_refuses_a_key_id_redirected_within_its_level(monkeypatch,
+                                                             same_width, check):
+    # the first time a group is about to re-key an entry through a stub
+    # effect's key-id memo, that memo entry is sent to another key id of
+    # the same level, so the entry's states move to another key and the
+    # total stays.  A key with fewer stubs than the entry's shape holds
+    # is a sweep fault; one with as many moves the states between
+    # patterns, which only the comparison with the eigenvector sees.
+    real = fpl._rekey
+    redirected = []
+
+    def corrupt(group, keys, effect, stubs, tail, arc, codes, ids, shift):
+        moved = effect[3]
+        kid = None if redirected else next((k for k in group if k in moved), None)
+        if kid is not None:
+            nid, new_keys = moved[kid], list(ids)
+            width = {code: len(T) for T, code in codes.items()}
+
+            def fits(i):
+                return (not same_width or width[new_keys[i] >> shift]
+                        == width[new_keys[nid] >> shift])
+
+            other = next((i for i in ids.values() if i != nid and fits(i)), None)
+            if other is not None:
+                moved[kid] = other
+                redirected.append(kid)
+        return real(group, keys, effect, stubs, tail, arc, codes, ids, shift)
+
+    monkeypatch.setattr(fpl, "_rekey", corrupt)
+    rep = spectra.verify_conjecture(6)
+    assert redirected
+    assert not rep.passed
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert check in failed and "census-total" not in failed
+
+
 def test_census_peak_memory_is_bounded():
-    # a level is one flat dict per shape group and the row table one
-    # bytes per v: the traced peak of _census(8) was 2.06 MB with a dict
-    # per member and a tuple pair per move, and is 0.81 MB
+    # a level is one flat dict per shape group, keyed by key ids the
+    # level numbers once, and the row table one bytes per v: the traced
+    # peak of _census(8) was 2.06 MB with a dict per member and a tuple
+    # pair per move, 0.81 MB with a big-int key per group entry, and is
+    # 0.72 MB
     fpl._row_moves(8)  # fills the lru caches of _spread and _stub_at
     patterns._basis(8)
     tracemalloc.start()
@@ -381,7 +426,7 @@ def test_census_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.2e6
+    assert peak < 0.77e6
 
 
 def test_row_table_bytes_per_move_is_bounded():
