@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from operator import attrgetter
 
+FORMAT_VERSION = 1  # of the one JSON artifact format, in every to_json_obj
+
 # how a frozen record's __init__ sets a field past the refusing __setattr__
 set_field = object.__setattr__
 

@@ -11,10 +11,11 @@ older entry.  Each file carries a format version and a SHA-256 checksum
 of its payload, computed by CPython's builtin hash module (hashlib only
 where that module is missing), and is written atomically; a cache
 write that fails prints one warning and leaves the command's output
-alone, corrupt cache entries are recomputed silently, a cached census
-is used only when its n, its total A_n, its ranks and the signs of its
-counts fit the request, and a cached eigenvector only after it passes
-the same certificate as a fresh one.
+alone.  One rule decides whether an entry is used, in one function: a
+cached census only if it parses and fits n (its n, its total A_n, its
+ranks and the signs of its counts), a cached eigenvector only if it
+passes the same certificate as a fresh one; anything else, a corrupt
+or absent entry included, is recomputed silently and stored again.
 ``verify`` neither reads nor writes the cache; it still accepts
 ``--no-cache``, and ignores it.
 
@@ -142,21 +143,32 @@ def _emit(chunks, out: str | None) -> None:
         print(f"wrote {out}")
 
 
-def _cached_histogram(n: int) -> _fpl.PatternHistogram | None:
-    """The cached census for n, or None unless it parses, is for n, has
+def _cached(n: int, name: str, use: bool, read, compute):
+    """The commands' one cache path: read(payload) of entry name for n
+    when use is set; on a miss (absent, or read raises) compute(), whose
+    result is stored when use is set."""
+    payload = cache_load(n, name) if use else None
+    if payload is not None:
+        try:
+            return read(payload)
+        except (ValueError, KeyError, TypeError, AttributeError,
+                ConjectureViolation):
+            pass
+    value = compute()
+    if use:
+        _store(n, name, value.to_json_obj())
+    return value
+
+
+def _census_fit(n: int, payload: dict) -> _fpl.PatternHistogram:
+    """The census in a cached payload; ValueError unless it is for n, has
     total A_n, ranks only inside the basis and only positive counts."""
-    payload = cache_load(n, "histogram")
-    if payload is None:
-        return None
-    try:
-        hist = _fpl.PatternHistogram.from_json_obj(payload)
-    except (ValueError, KeyError, TypeError, AttributeError):
-        return None
+    hist = _fpl.PatternHistogram.from_json_obj(payload)
     dim = _pat.catalan(n)
     if (hist.n != n or hist.total() != _fpl.asm_count(n)
             or any(not 0 <= r < dim for r in hist.counts)
             or any(c < 1 for c in hist.counts.values())):
-        return None
+        raise ValueError(f"the cached census does not fit n={n}")
     return hist
 
 
@@ -167,14 +179,8 @@ def _histogram(n: int, max_n: int | None, cache: bool = True) -> _fpl.PatternHis
     lets a refused n through.
     """
     _pat.check_n(n, max_n)
-    if cache:
-        hist = _cached_histogram(n)
-        if hist is not None:
-            return hist
-    hist = _fpl.histogram(n, max_n=max_n)
-    if cache:
-        _store(n, "histogram", hist.to_json_obj())
-    return hist
+    return _cached(n, "histogram", cache, lambda p: _census_fit(n, p),
+                   lambda: _fpl.histogram(n, max_n=max_n))
 
 
 def cmd_enumerate(args) -> int:
@@ -196,18 +202,14 @@ def cmd_enumerate(args) -> int:
 
 def cmd_groundstate(args) -> int:
     H = _spec.build_hamiltonian(args.n, max_n=args.max_n)
-    psi = None
-    if not args.no_cache:
-        payload = cache_load(args.n, "vector")
-        if payload is not None and payload.get("kind") == "perron-vector":
-            try:
-                psi = _spec.certify_perron(H, payload["components"])
-            except (ConjectureViolation, ValueError, KeyError, TypeError):
-                pass
-    if psi is None:
-        psi = _spec.perron_vector(H)
-        if not args.no_cache:
-            _store(args.n, "vector", psi.to_json_obj())
+
+    def certified(payload) -> _spec.BigIntVector:
+        if payload["kind"] != "perron-vector":
+            raise ValueError(f"a cached vector of kind {payload['kind']!r}")
+        return _spec.certify_perron(H, payload["components"])
+
+    psi = _cached(args.n, "vector", not args.no_cache, certified,
+                  lambda: _spec.perron_vector(H))
     print(f"n={args.n}: eigenvector at 2n={2 * args.n} over {H.dim} patterns")
     print(f"  component sum {psi.total()}")
     print(f"  component max {psi.maximum()}")
@@ -227,7 +229,7 @@ def cmd_groundstate(args) -> int:
 def cmd_verify(args) -> int:
     if args.n >= LONG_GATE_N and not args.long:
         raise CapacityError(
-            f"n={args.n} means {_fpl.asm_count(args.n)} states; pass --long "
+            f"n={args.n} is a long run (n >= {LONG_GATE_N}); pass --long "
             "to run sizes this large"
         )
     report = _spec.verify_conjecture(args.n, max_n=args.max_n)

@@ -99,15 +99,13 @@ from functools import lru_cache
 from operator import itemgetter
 
 from . import patterns as _pat
-from ._record import Frozen, set_field
+from ._record import FORMAT_VERSION, Frozen, set_field
 from .errors import CapacityError, ConjectureViolation
 from .patterns import LinkPattern
 
 # Shape-mask bits (selected edge directions at an internal vertex).
 U, L, B, R = 1, 2, 4, 8
 _SHAPES = frozenset({U | L, U | B, U | R, L | B, L | R, B | R})
-
-FORMAT_VERSION = 1
 
 # Width of one packed arc field: the census stores each arc's larger
 # stub in the field of its smaller one, so stub numbers must stay below

@@ -83,8 +83,8 @@ def check_n(n: int, max_n: int | None = None) -> None:
         raise ValueError(f"need n >= 1, got n={n}")
     if n > ceiling:
         raise CapacityError(
-            f"n={n} exceeds the size ceiling {ceiling} (Catalan({n}) = "
-            f"{catalan(n)} patterns); pass max_n={n} (--max-n {n}) to override"
+            f"n={n} exceeds the size ceiling {ceiling}; pass max_n={n} "
+            f"(--max-n {n}) to override"
         )
 
 

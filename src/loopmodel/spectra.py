@@ -46,7 +46,7 @@ from operator import itemgetter, mul
 
 from . import fpl as _fpl
 from . import patterns as _pat
-from ._record import Frozen, Record, set_field
+from ._record import FORMAT_VERSION, Frozen, Record, set_field
 from .errors import ConjectureViolation
 from .patterns import apply_h
 
@@ -62,8 +62,6 @@ POWER_MAX_ITER = 100_000
 # Scaled to the minimum instead, nothing would flush to zero, and on a
 # matrix whose iterate never settles the ints would grow a bit per step.
 S = 192
-
-FORMAT_VERSION = 1
 
 
 class SparseIntMatrix(Frozen):

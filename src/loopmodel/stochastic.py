@@ -29,10 +29,8 @@ from functools import lru_cache
 from . import fpl as _fpl
 from . import patterns as _pat
 from . import spectra as _spec
-from ._record import Frozen, set_field
+from ._record import FORMAT_VERSION, Frozen, set_field
 from .patterns import LinkPattern, apply_h
-
-FORMAT_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

@@ -166,7 +166,10 @@ def test_groundstate_recertifies_cached_vector(cache, tmp_path, capsys):
     {"kind": "perron-vector"},
     {"kind": "perron-vector", "components": 5},
     ["not", "a", "dict"],
-], ids=["no-components", "components-not-a-list", "not-a-dict"])
+    # components that pass the certificate, under another artifact's kind
+    dict(spectra.perron_vector(spectra.build_hamiltonian(4)).to_json_obj(),
+         kind="fpl-histogram"),
+], ids=["no-components", "components-not-a-list", "not-a-dict", "wrong-kind"])
 def test_malformed_cached_vector_is_recomputed(cache, tmp_path, payload):
     cli.cache_store(4, "vector", payload)  # checksum matches the payload
     out = tmp_path / "v4.json"
@@ -295,6 +298,27 @@ def test_unversioned_cache_entry_is_a_miss(cache, tmp_path):
     assert json.loads(old.read_text())["payload"] == payload
 
 
+def test_no_cache_neither_reads_nor_writes_an_entry(cache, capsys):
+    # each planted entry has a matching checksum and the wrong content; the
+    # census one even fits n = 3, so a run that read it would print it
+    census = fpl.histogram(3).to_json_obj()
+    census["counts"]["1"], census["counts"]["3"] = (census["counts"]["3"],
+                                                    census["counts"]["1"])
+    vector = spectra.perron_vector(spectra.build_hamiltonian(3)).to_json_obj()
+    vector["components"] = vector["components"][::-1]
+    planted = {"histogram": cli.cache_store(3, "histogram", census),
+               "vector": cli.cache_store(3, "vector", vector)}
+    before = {name: path.read_bytes() for name, path in planted.items()}
+    assert run(["enumerate", "-n", "3", "--no-cache", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.endswith(fpl.histogram(3).to_csv_text())
+    assert run(["groundstate", "-n", "3", "--no-cache", "--format", "text"]) == 0
+    fresh = spectra.perron_vector(spectra.build_hamiltonian(3)).components
+    assert capsys.readouterr().out.endswith(
+        " ".join(map(str, fresh)) + "\n")
+    assert list(fresh) != vector["components"]
+    assert {name: path.read_bytes() for name, path in planted.items()} == before
+
+
 def test_verify_long_gate(cache, capsys):
     assert run(["verify", "-n", "8"]) == cli.EXIT_CAPACITY
     assert "--long" in capsys.readouterr().err
@@ -304,6 +328,18 @@ def test_capacity_exit_code(cache, capsys):
     assert run(["enumerate", "-n", "12"]) == cli.EXIT_CAPACITY
     err = capsys.readouterr().err
     assert "capacity" in err and "max" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "-n", "8000"],
+                                  ["verify", "-n", "195"]],
+                         ids=["catalan-past-4300-digits", "asm-past-4300-digits"])
+def test_capacity_refusal_of_a_huge_n_is_one_short_line(cache, capsys, argv):
+    # the refusal names n, the limit and the override, never a count
+    # too long for Python's int-to-string limit
+    assert run(argv) == cli.EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("capacity: ") and argv[2] in err
 
 
 def test_sample_report(cache, tmp_path, capsys):
@@ -476,12 +512,13 @@ def test_sample_compares_with_the_cached_census(cache, monkeypatch, tmp_path):
     # caches a fresh one itself, so a second run needs no census
     argv = ["sample", "-n", "5", "--seed", "3", "--samples", "2000", "--out"]
     assert run([*argv, str(tmp_path / "fresh.json")]) == cli.EXIT_OK
-    assert cli._cached_histogram(5).counts == fpl.histogram(5).counts
+    census = fpl.histogram(5)
 
     def no_census(*args, **kwargs):
         raise AssertionError("the census ran despite the cached one")
 
     monkeypatch.setattr(fpl, "histogram", no_census)
+    assert cli._histogram(5, None) == census
     assert run([*argv, str(tmp_path / "cached.json")]) == cli.EXIT_OK
     assert ((tmp_path / "cached.json").read_bytes()
             == (tmp_path / "fresh.json").read_bytes())
