@@ -81,16 +81,17 @@ per effect through its memos into one dict, and each move with that
 effect adds that dict into its target group in a plain loop over its
 entries.  A group is released once advanced, and a row's key list and
 memos once the row is done, so one level shrinks while the next grows.
-Rows 1..n are the same step.  Every move raises the count of down
-arrows by one, so every move out of row n ends at the all-down mask;
-one short pass over the last level then reads each key back through
-the level's key list, rebuilds its linkage, closes it onto the
-numbered bottom stubs and checks and ranks each final value as a
-perfect noncrossing matching.  Totals are exact integers throughout.
-The sweep is one pass in one process, since a level split into slices
-cannot merge across them.  `enumerate_states` streams the individual
-states instead and never merges, and `state_at` picks one of them by
-its index from the number of completions below each (row, v).
+Rows 1..n are the same step, `_sweep_row`.  Every move raises the
+count of down arrows by one, so every move out of row n ends at the
+all-down mask; `_close`, one short pass over the last level, then
+reads each key back through the level's key list, rebuilds its
+linkage, closes it onto the numbered bottom stubs and checks and ranks
+each final value as a perfect noncrossing matching.  Totals are exact
+integers throughout.  The sweep is one pass in one process, since a
+level split into slices cannot merge across them.  `enumerate_states`
+streams the individual states instead and never merges, and `state_at`
+picks one of them by its index from the number of completions below
+each (row, v).
 """
 from __future__ import annotations
 
@@ -719,107 +720,97 @@ def _rekey(group: dict, keys: list, effect: tuple, stubs: list, tail: tuple,
     return out
 
 
-def _census(n: int) -> dict[int, int]:
-    """Run the shape-group sweep from row 1 to completion.
+def _sweep_row(n: int, r: int, level: dict, keys: list, stubs: list,
+               moves: list, arc: list) -> tuple[dict, list, list]:
+    """Sweep row r: the level above it -> (next level, keys, stubs).
 
     A level maps each arrow mask v to its shape groups, {marked frontier:
     flat dict {key id: multiplicity}}, the marked frontier having every
-    stub token replaced by -1.  The level numbers its distinct keys,
-    stub code << ARC_BITS * 2n | packed arcs, once in a dict read back
-    as the list keys, and the code indexes the level's list of member
-    stub tuples.  The moves out of (row, v) are read through _moves_from
-    once and shared by every group of that v.  Each (shape, move) is
-    advanced once by _apply_row on placeholder stub labels; one pass
-    over the advanced frontier marks it and maps those labels to indices
-    into X, a member's stubs followed by the row's own stub numbers,
-    which with the new arcs is the move's stub effect (see the module
-    docstring).  Each distinct effect of a row holds two memos, stub
-    code -> new code and arcs, key id -> new key id, so _rekey walks a
-    popped group once per effect, and each move with that effect adds
-    the result into its target group entry by entry; a new target
-    starts as a copy, never as that dict.  A last pass reads each key
-    back through the key list, closes its stubs onto the bottom stubs
-    and ranks it.  Returns a dict rank -> count over final link
-    patterns.
+    stub token replaced by -1.  keys[id] is the level's key, stub code
+    << ARC_BITS * 2n | packed arcs, and stubs[code] a member's stub
+    tuple.  The moves out of (row, v) are read through _moves_from once
+    and shared by every group of that v.  Each (shape, move) is advanced
+    once by _apply_row on placeholder stub labels; one pass over the
+    advanced frontier marks it and maps those labels to indices into X,
+    a member's stubs followed by the row's own stub numbers, which with
+    the new arcs is the move's stub effect (see the module docstring).
+    Each distinct effect of the row holds two memos, stub code -> new
+    code and arcs, key id -> new key id, so _rekey walks a popped group
+    once per effect, and each move with that effect adds the result
+    into its target group entry by entry; a new target starts as a copy,
+    never as that dict.  level is emptied as it is swept, and keys and
+    the row's memos are cleared before the next key list is built.
     """
-    if 2 * n >= 1 << ARC_BITS:
-        raise CapacityError(
-            f"n={n} has stub numbers beyond the {ARC_BITS}-bit packed arc "
-            f"field; the census handles n <= {((1 << ARC_BITS) - 1) // 2}"
-        )
-    moves = _row_moves(n)
     top = 2 * n
     shift = ARC_BITS * top  # a key's stub code sits above its packed arcs
-    # arc[a][b]: packed value of the arc joining stubs a and b
-    arc = [[0] * (top + 1) for _ in range(top + 1)]
-    for a in range(1, top + 1):
-        for b in range(a + 1, top + 1):
-            arc[a][b] = arc[b][a] = _pack(((a, b),))
-    F0 = _initial_frontier(n)
-    level: dict = {0: {tuple([None if t is None else -1 for t in F0]): {0: 1}}}
-    ids: dict = {0: 0}  # key -> key id; key 0 is code 0 with no arcs
-    stubs = [tuple([-t for t in F0 if t is not None])]  # code -> stub tuple
-    for r in range(1, n + 1):
-        left, right = _row_tokens(n, r)
-        # the row's own stub numbers; a member is re-keyed on X = its
-        # stubs + tail
-        tail = (*(() if left is None else (-left,)),
-                *(() if right is None else (right,)))
-        keys = list(ids)  # key id -> key
-        nxt: dict = {}
-        codes: dict = {}  # stub tuple of level r + 1 -> its code
-        ids = {}  # key of level r + 1 -> its id
-        effects: dict = {}  # stub effect -> (pick, links, memos), per row
-        while level:
-            v, groups = level.popitem()
-            row_moves = list(_moves_from(moves, n, v, r & 1))
-            while groups:
-                Fs, group = groups.popitem()
-                cols = [j for j, t in enumerate(Fs) if t == -1]
-                # stub token -> index in X: the placeholder -(2n + 1 + j) of
-                # the stub at column j -> its ordinal, the row's stubs -> the
-                # tail
-                at = {-top - 1 - j: i for i, j in enumerate(cols)}
-                at.update({-s: len(cols) + i for i, s in enumerate(tail)})
-                Fp = [-top - 1 - j if t == -1 else t for j, t in enumerate(Fs)]
-                targets: dict = {}  # stub effect -> the target shapes of its moves
-                for v2, shapes in row_moves:
-                    F = list(Fp)
-                    new: list[tuple[int, int]] = []
-                    _apply_row(F, shapes, left, right, new)
-                    idx = []
-                    for j, t in enumerate(F):
-                        if t is not None and t < 0:
-                            idx.append(at[t])
-                            F[j] = -1
-                    effect = (tuple(idx), tuple([(at[-a], at[-b]) for a, b in new]))
-                    targets.setdefault(effect, []).append((v2, tuple(F)))
-                for effect, shapes in targets.items():
-                    memo = effects.get(effect)
-                    if memo is None:
-                        idx, links = effect
-                        # itemgetter of fewer than two indices returns no tuple
-                        pick = (itemgetter(*idx) if len(idx) > 1
-                                else lambda X, idx=idx: tuple([X[i] for i in idx]))
-                        memo = effects[effect] = (pick, links, {}, {})
-                    entries = _rekey(group, keys, memo, stubs, tail, arc, codes,
-                                     ids, shift)
-                    for v2, Fs2 in shapes:
-                        tier = nxt.get(v2)
-                        if tier is None:
-                            tier = nxt[v2] = {}
-                        target = tier.get(Fs2)
-                        if target is None:  # a copy: other moves merge it too
-                            tier[Fs2] = entries.copy()
-                        else:
-                            get = target.get
-                            for kid, mult in entries.items():
-                                target[kid] = get(kid, 0) + mult
-        level, stubs = nxt, list(codes)
-        del keys, effects  # the row's key list and memos go before the next's
+    left, right = _row_tokens(n, r)
+    # the row's own stub numbers; a member is re-keyed on X = its stubs + tail
+    tail = (*(() if left is None else (-left,)),
+            *(() if right is None else (right,)))
+    nxt: dict = {}
+    codes: dict = {}  # stub tuple of level r + 1 -> its code
+    ids: dict = {}  # key of level r + 1 -> its id
+    effects: dict = {}  # stub effect -> (pick, links, memos), per row
+    while level:
+        v, groups = level.popitem()
+        row_moves = list(_moves_from(moves, n, v, r & 1))
+        while groups:
+            Fs, group = groups.popitem()
+            cols = [j for j, t in enumerate(Fs) if t == -1]
+            # stub token -> index in X: the placeholder -(2n + 1 + j) of
+            # the stub at column j -> its ordinal, the row's stubs -> the
+            # tail
+            at = {-top - 1 - j: i for i, j in enumerate(cols)}
+            at.update({-s: len(cols) + i for i, s in enumerate(tail)})
+            Fp = [-top - 1 - j if t == -1 else t for j, t in enumerate(Fs)]
+            targets: dict = {}  # stub effect -> the target shapes of its moves
+            for v2, shapes in row_moves:
+                F = list(Fp)
+                new: list[tuple[int, int]] = []
+                _apply_row(F, shapes, left, right, new)
+                idx = []
+                for j, t in enumerate(F):
+                    if t is not None and t < 0:
+                        idx.append(at[t])
+                        F[j] = -1
+                effect = (tuple(idx), tuple([(at[-a], at[-b]) for a, b in new]))
+                targets.setdefault(effect, []).append((v2, tuple(F)))
+            for effect, shapes in targets.items():
+                memo = effects.get(effect)
+                if memo is None:
+                    idx, links = effect
+                    # itemgetter of fewer than two indices returns no tuple
+                    pick = (itemgetter(*idx) if len(idx) > 1
+                            else lambda X, idx=idx: tuple([X[i] for i in idx]))
+                    memo = effects[effect] = (pick, links, {}, {})
+                entries = _rekey(group, keys, memo, stubs, tail, arc, codes,
+                                 ids, shift)
+                for v2, Fs2 in shapes:
+                    tier = nxt.get(v2)
+                    if tier is None:
+                        tier = nxt[v2] = {}
+                    target = tier.get(Fs2)
+                    if target is None:  # a copy: other moves merge it too
+                        tier[Fs2] = entries.copy()
+                    else:
+                        get = target.get
+                        for kid, mult in entries.items():
+                            target[kid] = get(kid, 0) + mult
+    keys.clear()  # the row's key list and memos go before the next's
+    effects.clear()
+    return nxt, list(ids), list(codes)
 
+
+def _close(n: int, level: dict, keys: list, stubs: list) -> dict[int, int]:
+    """Close the level after row n onto the bottom stubs: rank -> count.
+
+    Each key is read back through the key list, its stubs put back into
+    its group's frontier, the frontier closed by _bottom_arcs and the
+    final packed arcs ranked by _pattern_rank.
+    """
     _, rank_of = _pat._basis(n)
-    keys, mask = list(ids), (1 << shift) - 1
+    shift = ARC_BITS * 2 * n
+    mask = (1 << shift) - 1
     counts: dict[int, int] = {}
     for groups in level.values():
         for Fs, group in groups.items():
@@ -837,6 +828,34 @@ def _census(n: int) -> dict[int, int]:
                 rank = _pattern_rank(n, (key & mask) + closing, rank_of)
                 counts[rank] = counts.get(rank, 0) + mult
     return counts
+
+
+def _census(n: int) -> dict[int, int]:
+    """Sweep rows 1..n with _sweep_row, then _close the last level.
+
+    The first level is the one shape group of the top stubs, holding key
+    0 (stub code 0, no arcs) once.  Returns a dict rank -> count over
+    final link patterns.
+    """
+    if 2 * n >= 1 << ARC_BITS:
+        raise CapacityError(
+            f"n={n} has stub numbers beyond the {ARC_BITS}-bit packed arc "
+            f"field; the census handles n <= {((1 << ARC_BITS) - 1) // 2}"
+        )
+    moves = _row_moves(n)
+    top = 2 * n
+    # arc[a][b]: packed value of the arc joining stubs a and b
+    arc = [[0] * (top + 1) for _ in range(top + 1)]
+    for a in range(1, top + 1):
+        for b in range(a + 1, top + 1):
+            arc[a][b] = arc[b][a] = _pack(((a, b),))
+    F0 = _initial_frontier(n)
+    level: dict = {0: {tuple([None if t is None else -1 for t in F0]): {0: 1}}}
+    keys = [0]  # key id -> key
+    stubs = [tuple([-t for t in F0 if t is not None])]  # code -> stub tuple
+    for r in range(1, n + 1):
+        level, keys, stubs = _sweep_row(n, r, level, keys, stubs, moves, arc)
+    return _close(n, level, keys, stubs)
 
 
 class PatternHistogram(Frozen):

@@ -173,15 +173,25 @@ def stationary_law(n: int, max_n: int | None = None) -> PatternDistribution:
     return PatternDistribution(n, probs)
 
 
+def _census_for(n: int, target: LinkPattern,
+                hist: _fpl.PatternHistogram | None) -> _fpl.PatternHistogram:
+    """hist, or the census of n when it is None; ValueError unless the
+    target and the census are both of size n."""
+    if target.n != n:
+        raise ValueError("target pattern size does not match n")
+    if hist is None:
+        return _fpl.histogram(n)
+    if hist.n != n:
+        raise ValueError(f"the census is for n={hist.n}, not n={n}")
+    return hist
+
+
 def player_a_probability(n: int, target: LinkPattern,
                          hist: _fpl.PatternHistogram | None = None) -> Fraction:
     """Probability that a uniform state carries the target pattern."""
     from fractions import Fraction
 
-    if target.n != n:
-        raise ValueError("target pattern size does not match n")
-    if hist is None:
-        hist = _fpl.histogram(n)
+    hist = _census_for(n, target, hist)
     return Fraction(hist.count(_pat.rank(target)), hist.total())
 
 
@@ -195,10 +205,7 @@ def player_b_probability(n: int, target: LinkPattern,
     """
     from fractions import Fraction
 
-    if target.n != n:
-        raise ValueError("target pattern size does not match n")
-    if hist is None:
-        hist = _fpl.histogram(n)
+    hist = _census_for(n, target, hist)
     pre = _spec.preimage_sums_all(n, hist)[_pat.rank(target)]
     return Fraction(pre, 2 * n * hist.total())
 

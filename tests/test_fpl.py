@@ -52,6 +52,10 @@ CSV_N8_SHA256 = "4985d9035c9200dd904a4b01423805f77f2f706e8cfbbdbb87bff0de142b4ed
 CSV_N9_SHA256 = "6ab1c4ab70b81fa7710c7346a7381aa2e72c2985b7b47b90582bafece015f451"
 CSV_N10_SHA256 = "469d352eb2e1ca0184b8ce0f2353ad2c21638010546af2309bdf58327067b46e"
 
+# sha256 of histogram(11, max_n=11).to_csv_text(), pinned from the census
+# that ran its row step inline before _sweep_row and _close split it
+CSV_N11_SHA256 = "5076276f010c58a4185a3cd268e51f8781c3997c4c41d13f07d381c77e10cbbd"
+
 # sha256 of asm_stream_text over enumerate_states(n), pinned from the
 # state_to_asm that compared all four arrows against two fixed tuples
 ASM_STREAM_SHA256 = {
@@ -412,6 +416,36 @@ def test_census_refuses_a_key_id_redirected_within_its_level(monkeypatch,
     assert check in failed and "census-total" not in failed
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sweep_row_conserves_states(monkeypatch, n):
+    # reach(r, v2), the number of ways rows 1..r end on the arrow mask v2,
+    # comes from the row table alone; each row step's level must hold
+    # exactly that many states at v2, so a merge that drops or doubles an
+    # entry fails at its own row, not only in the final census-total
+    moves = fpl._row_moves(n)
+    reach = {0: 1}
+    real = fpl._sweep_row
+    rows = []
+
+    def checked(n_, r, *args):
+        nonlocal reach
+        level, keys, stubs = real(n_, r, *args)
+        above, reach = reach, {}
+        for v, ways in above.items():
+            for v2 in moves[v][0]:
+                reach[v2] = reach.get(v2, 0) + ways
+        held = {v2: sum(sum(group.values()) for group in groups.values())
+                for v2, groups in level.items()}
+        assert held == reach, f"row {r}"
+        rows.append(r)
+        return level, keys, stubs
+
+    monkeypatch.setattr(fpl, "_sweep_row", checked)
+    assert sum(fpl._census(n).values()) == fpl.asm_count(n)
+    assert rows == list(range(1, n + 1))
+    assert reach == {2 ** n - 1: fpl.asm_count(n)}
+
+
 def test_census_peak_memory_is_bounded():
     # a level is one flat dict per shape group, keyed by key ids the
     # level numbers once, and the row table one bytes per v: the traced
@@ -501,6 +535,12 @@ def test_histogram_csv_n9_pinned():
 def test_histogram_csv_n10_pinned():
     text = fpl.histogram(10).to_csv_text()
     assert hashlib.sha256(text.encode()).hexdigest() == CSV_N10_SHA256
+
+
+@pytest.mark.long
+def test_histogram_csv_n11_pinned():
+    text = fpl.histogram(11, max_n=11).to_csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == CSV_N11_SHA256
 
 
 def test_packed_arcs_decode():

@@ -102,6 +102,15 @@ def test_player_a_matches_census_share():
     assert st.player_a_probability(1, patterns.unrank(1, 0)) == 1
 
 
+def test_players_refuse_a_census_of_another_n():
+    # a census of n = 5 for a pattern of n = 4 gave player A 14/143 and
+    # player B a vector-length error
+    target, hist = patterns.unrank(4, 0), fpl.histogram(5)
+    for player in (st.player_a_probability, st.player_b_probability):
+        with pytest.raises(ValueError, match="n=5, not n=4"):
+            player(4, target, hist)
+
+
 def test_player_b_worked_example():
     adj = patterns.unrank(4, 0)
     assert st.player_b_probability(4, adj) == Fraction(1, 6)
