@@ -57,30 +57,36 @@ partner b in an ARC_BITS-wide field at bit ARC_BITS * (a - 1).  A
 disjoint union is then integer addition, and equal sets pack to equal
 integers without sorting.
 
-How a row move rewires a linkage depends only on which slots are
-empty, which column each live slot points to and which slots reach a
-stub, never on the stub numbers.  A level is therefore kept in shape
-groups, a shape being (v, linkage) with every stub token replaced by
-one marker, so a member is its stub numbers in column order alone.  A
-level is keyed by v first, {v: {marked linkage: group}}, so the moves
-out of each (row, v) are read once and shared by all of its groups,
-2**n - 1 reads a census.  A level numbers its members' stub tuples,
+How a row move rewires a linkage depends only on which slots are empty,
+which column each live slot points to and which slots reach a stub,
+never on the stub numbers.  A level is therefore kept in shape groups,
+a shape being (v, linkage) with every stub token replaced by one
+marker, so a member is its stub numbers in column order alone.  A level
+is keyed by v first, {v: {marked linkage: group}}, so the row paths out
+of each (row, v) are built once and shared by all of its groups,
+2**n - 1 builds a census.  A level numbers its members' stub tuples,
 and it numbers its distinct keys, stub code << ARC_BITS * 2n | packed
 arcs, once: a group is one flat dict {key id: multiplicity}, so each
 big-integer key is held once a level and every merge hashes a small
-integer.  Each (shape, move) is advanced once, on a linkage whose stub
-at column j carries the placeholder label 2n + 1 + j, above every real
-stub.  One pass over the advanced linkage then yields the new shape
-and the move's stub effect: the source of each new stub in column
-order (a member's stub, by ordinal, or one of the row's own) and the
-new arcs as pairs of sources.  An effect sends a stub code to the same
-new code and arcs, and a key to the same new key, in every group of
-the row, so each distinct effect of a row memoizes both maps.  Many
-moves of a group share one effect, so a popped group is re-keyed once
-per effect through its memos into one dict, and each move with that
-effect adds that dict into its target group in a plain loop over its
-entries.  A group is released once advanced, and a row's key list and
-memos once the row is done, so one level shrinks while the next grows.
+integer.  A move's row paths are read off its U and B words: a column
+in both runs straight down and joins its top and bottom, and the ends
+of the columns in one of them pair up in order along the row's
+horizontal runs, after the row's left stub and before its right one.
+Each (shape, move) is advanced once by a chase over those paths: from
+each bottom column in order, up through the row to a top column, on
+through the shape's partner column and through the row again, until the
+path reaches a bottom column (a new pair of the shape) or a stub.  The
+stubs reached, in column order, as sources (a member's stub, by
+ordinal, or one of the row's own), and the new arcs as pairs of
+sources, chased from the stubs that reach no bottom column, are the
+move's stub effect.  An effect sends a stub code to the same new code
+and arcs, and a key to the same new key, in every group of the row, so
+each distinct effect of a row memoizes both maps.  Many moves of a
+group share one effect, so a popped group is re-keyed once per effect
+through its memos into one dict, and each move with that effect adds
+that dict into its target group in a plain loop over its entries.  A
+group is released once advanced, and a row's key list and memos once
+the row is done, so one level shrinks while the next grows.
 Rows 1..n are the same step, `_sweep_row`.  Every move raises the
 count of down arrows by one, so every move out of row n ends at the
 all-down mask; `_close`, one short pass over the last level, then
@@ -171,6 +177,13 @@ def _spread(n: int) -> list[int]:
     return table
 
 
+def _checkerboard(n: int, parity: int) -> tuple[int, int]:
+    """(P, ~P) as n-bit words: bit j of P is set iff r + j + 1 is odd,
+    parity being r mod 2."""
+    full = (1 << n) - 1
+    return (0x5555 << parity) & full, (0xAAAA >> parity) & full
+
+
 def _row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | None:
     """Shape masks for one row given arrow masks above (v) and below (v2).
 
@@ -197,8 +210,7 @@ def _row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | N
     # j is illegal iff l_j == v_j, that is iff x_j != v_j
     if not x >> n & 1 or d & (x ^ v):
         return None
-    P = (0x5555 << row_parity) & full
-    q = P ^ full  # ~P
+    P, q = _checkerboard(n, row_parity)
     spread = _spread(n)
     packed = (spread[v ^ q] | spread[(x ^ P) & full] << 1
               | spread[v2 ^ P] << 2 | spread[(x ^ d ^ q) & full] << 3)
@@ -290,67 +302,95 @@ def _initial_frontier(n: int) -> tuple:
                  for j in range(n))
 
 
-def _apply_row(F: list, shapes: tuple[int, ...], pend, right_stub: int | None,
-               new_arcs: list) -> None:
-    """Advance the frontier linkage through one row of shape masks.
+def _row_paths(n: int, v: int, v2s, parity: int, left: int | None,
+               right: int | None) -> list[tuple[int, list, list[int]]]:
+    """(v2, ends, bottom columns) of every move v -> v2 of a row.
 
-    F is mutated in place; completed (stub, stub) arcs are appended to
-    new_arcs.  pend is the far token of the path end moving rightward
-    along the row (the left stub's token, or None).  A slot whose path
-    end is currently pend may hold a stale token; it is never read in
-    that window (the join that could read it is exactly the closed-loop
-    case, detected through pend itself).  A path end leaving the row
-    must land on a numbered right stub and a numbered right stub must
-    catch one; otherwise ConjectureViolation is raised.
+    The row's path ends are numbered: the top of column j is j, its
+    bottom n + j, and the row's own stubs, left then right, 2n onward.
+    ends[e] is the end that the row's path from e reaches.  With U =
+    v ^ ~P and B = v2 ^ P the words of _row_shapes, a column in U & B
+    runs straight down.  The ends of the columns in U ^ B, after the
+    left stub and before the right stub, pair up in order along the
+    row's horizontal runs.  An odd count means a path end leaves the row
+    where no numbered right stub is, or a numbered right stub catches no
+    path end; either raises ConjectureViolation.
     """
-    PEND = len(F)  # placeholder far-token for a partner still in flight
-    for j, mask in enumerate(shapes):
-        if mask == 10 or mask == 5:  # L|R pass-through, U|B straight down
-            continue
-        if mask == 3:  # U|L: join the up end with the incoming end
-            t = F[j]
-            F[j] = None
-            if pend == j:  # both ends of one segment: a closed loop
-                pend = None
-                continue
-            u, pend = pend, None
-            if t >= 0:
-                F[t] = u
-                if u >= 0:
-                    F[u] = t
-            elif u >= 0:
-                F[u] = t
-            else:
-                new_arcs.append((-t, -u) if -t < -u else (-u, -t))
-        elif mask == 9:  # U|R: the up end turns rightward
-            pend = F[j]
-            F[j] = None
-        elif mask == 6:  # L|B: the incoming end lands in the frontier
-            t = pend
-            pend = None
-            F[j] = t
-            if t >= 0:
-                F[t] = j
-        else:  # mask == 12, B|R: a fresh segment is born
-            F[j] = PEND
-            pend = j
-    if pend is not None:
-        if right_stub is None:
+    top = 2 * n
+    P, q = _checkerboard(n, parity)
+    up = v ^ q
+    lead = [] if left is None else [top]
+    last = [] if right is None else [top + len(lead)]
+    paths = []
+    for v2 in v2s:
+        down = v2 ^ P
+        ends: list = [None] * (top + 2)
+        run = list(lead)
+        bots = []
+        for j in range(n):
+            if down >> j & 1:
+                bots.append(j)
+                if up >> j & 1:
+                    ends[j], ends[n + j] = n + j, j
+                else:
+                    run.append(n + j)
+            elif up >> j & 1:
+                run.append(j)
+        run += last
+        if len(run) & 1:
             raise ConjectureViolation(
-                "a path end leaves the row at an unnumbered right stub",
-                {"shapes": shapes}, check="census-sweep",
+                "a path end leaves the row at an unnumbered right stub"
+                if right is None else
+                f"numbered right stub {right} catches no path end",
+                {"n": n, "v": v, "v2": v2}, check="census-sweep",
             )
-        if pend >= 0:
-            F[pend] = -right_stub
-        else:
-            new_arcs.append(
-                (-pend, right_stub) if -pend < right_stub else (right_stub, -pend)
-            )
-    elif right_stub is not None:
-        raise ConjectureViolation(
-            f"numbered right stub {right_stub} catches no path end",
-            {"shapes": shapes}, check="census-sweep",
-        )
+        for a, b in zip(run[::2], run[1::2]):
+            ends[a], ends[b] = b, a
+        paths.append((v2, ends, bots))
+    return paths
+
+
+def _chase(n: int, far: list, starts: list[int], ends: list,
+           bots: list[int]) -> tuple[tuple, tuple]:
+    """One shape group through one move: (stub effect, next marked frontier).
+
+    X, the stubs a member is re-keyed on, is its own stubs in column
+    order and then the row's; starts[i] is the row end where X[i] enters
+    the row.  far maps a row end to where a path goes on past it: from
+    a live top column to its partner column in the group's frontier, or
+    ~x where the path stops, x < len(starts) at stub X[x] and
+    x = len(starts) + k at the bottom of column k.  From each bottom
+    column in order the path is followed through ends and far to a new
+    pair or to a stub, whose index into X joins the effect's idx.  Only
+    when fewer stubs than X holds reach the bottom are the leftover
+    ones chased to pair up as the effect's links, the row's new arcs.
+    """
+    size = len(starts)
+    F: list = [None] * n
+    idx = []
+    for k in bots:
+        if F[k] is None:
+            e = ends[n + k]
+            while (t := far[e]) >= 0:
+                e = ends[t]
+            t = ~t
+            if t < size:
+                idx.append(t)
+                F[k] = -1
+            else:
+                t -= size
+                F[k], F[t] = t, k
+    links = []
+    if len(idx) < size:
+        done = set(idx)
+        for i in range(size):
+            if i not in done:
+                e = ends[starts[i]]
+                while (t := far[e]) >= 0:
+                    e = ends[t]
+                done.add(~t)
+                links.append((i, ~t))
+    return (tuple(idx), tuple(links)), tuple(F)
 
 
 def _bottom_arcs(n: int, F) -> list[tuple[int, int]]:
@@ -728,18 +768,20 @@ def _sweep_row(n: int, r: int, level: dict, keys: list, stubs: list,
     flat dict {key id: multiplicity}}, the marked frontier having every
     stub token replaced by -1.  keys[id] is the level's key, stub code
     << ARC_BITS * 2n | packed arcs, and stubs[code] a member's stub
-    tuple.  The moves out of (row, v) are read through _moves_from once
-    and shared by every group of that v.  Each (shape, move) is advanced
-    once by _apply_row on placeholder stub labels; one pass over the
-    advanced frontier marks it and maps those labels to indices into X,
-    a member's stubs followed by the row's own stub numbers, which with
-    the new arcs is the move's stub effect (see the module docstring).
-    Each distinct effect of the row holds two memos, stub code -> new
-    code and arcs, key id -> new key id, so _rekey walks a popped group
-    once per effect, and each move with that effect adds the result
-    into its target group entry by entry; a new target starts as a copy,
-    never as that dict.  level is emptied as it is swept, and keys and
-    the row's memos are cleared before the next key list is built.
+    tuple.  The row paths of the moves out of (row, v) are built by
+    _row_paths once and shared by every group of that v.  Each (shape,
+    move) is advanced once by _chase, which yields the new marked
+    frontier and the move's stub effect, indices into X, a member's
+    stubs followed by the row's own stub numbers (see the module
+    docstring).  Each distinct effect of the row holds two memos, stub
+    code -> new code and arcs, key id -> new key id, so _rekey walks a
+    popped group once per effect, and each move with that effect adds
+    the result into its target group entry by entry.  The first new
+    target of a (group, effect) takes that dict itself and each later
+    one starts as a copy of it: the moves of one group have distinct
+    targets, so no merge reaches the dict until its moves are done.
+    level is emptied as it is swept, and keys and the row's memos are
+    cleared before the next key list is built.
     """
     top = 2 * n
     shift = ARC_BITS * top  # a key's stub code sits above its packed arcs
@@ -747,34 +789,28 @@ def _sweep_row(n: int, r: int, level: dict, keys: list, stubs: list,
     # the row's own stub numbers; a member is re-keyed on X = its stubs + tail
     tail = (*(() if left is None else (-left,)),
             *(() if right is None else (right,)))
+    row_ends = list(range(top, top + len(tail)))  # where the row's stubs enter
     nxt: dict = {}
     codes: dict = {}  # stub tuple of level r + 1 -> its code
     ids: dict = {}  # key of level r + 1 -> its id
     effects: dict = {}  # stub effect -> (pick, links, memos), per row
     while level:
         v, groups = level.popitem()
-        row_moves = list(_moves_from(moves, n, v, r & 1))
+        paths = _row_paths(n, v, moves[v][0], r & 1, left, right)
         while groups:
             Fs, group = groups.popitem()
             cols = [j for j, t in enumerate(Fs) if t == -1]
-            # stub token -> index in X: the placeholder -(2n + 1 + j) of
-            # the stub at column j -> its ordinal, the row's stubs -> the
-            # tail
-            at = {-top - 1 - j: i for i, j in enumerate(cols)}
-            at.update({-s: len(cols) + i for i, s in enumerate(tail)})
-            Fp = [-top - 1 - j if t == -1 else t for j, t in enumerate(Fs)]
+            starts = cols + row_ends
+            size = len(starts)
+            far = list(Fs)
+            for i, j in enumerate(cols):
+                far[j] = ~i
+            far += [~x for x in range(size, size + n)]  # the bottom ends
+            far += [~x for x in range(len(cols), size)]  # the row's stubs
             targets: dict = {}  # stub effect -> the target shapes of its moves
-            for v2, shapes in row_moves:
-                F = list(Fp)
-                new: list[tuple[int, int]] = []
-                _apply_row(F, shapes, left, right, new)
-                idx = []
-                for j, t in enumerate(F):
-                    if t is not None and t < 0:
-                        idx.append(at[t])
-                        F[j] = -1
-                effect = (tuple(idx), tuple([(at[-a], at[-b]) for a, b in new]))
-                targets.setdefault(effect, []).append((v2, tuple(F)))
+            for v2, ends, bots in paths:
+                effect, Fs2 = _chase(n, far, starts, ends, bots)
+                targets.setdefault(effect, []).append((v2, Fs2))
             for effect, shapes in targets.items():
                 memo = effects.get(effect)
                 if memo is None:
@@ -785,13 +821,15 @@ def _sweep_row(n: int, r: int, level: dict, keys: list, stubs: list,
                     memo = effects[effect] = (pick, links, {}, {})
                 entries = _rekey(group, keys, memo, stubs, tail, arc, codes,
                                  ids, shift)
+                taken = False
                 for v2, Fs2 in shapes:
                     tier = nxt.get(v2)
                     if tier is None:
                         tier = nxt[v2] = {}
                     target = tier.get(Fs2)
-                    if target is None:  # a copy: other moves merge it too
-                        tier[Fs2] = entries.copy()
+                    if target is None:  # later moves copy the dict it took
+                        tier[Fs2] = entries.copy() if taken else entries
+                        taken = True
                     else:
                         get = target.get
                         for kid, mult in entries.items():

@@ -412,6 +412,12 @@ def spectral_radius_check(H: SparseIntMatrix, psi: BigIntVector) -> SpectralChec
 # -- census-side identities ----------------------------------------------
 
 
+def _check_census(n: int, hist: _fpl.PatternHistogram) -> None:
+    """ValueError unless hist is a census of n."""
+    if hist.n != n:
+        raise ValueError(f"the census is for n={hist.n}, not n={n}")
+
+
 def preimage_sum(n: int, p: _pat.LinkPattern, hist: _fpl.PatternHistogram) -> int:
     """Sum of census counts over all operator preimages of p.
 
@@ -420,8 +426,11 @@ def preimage_sum(n: int, p: _pat.LinkPattern, hist: _fpl.PatternHistogram) -> in
     the definition (no matrix involved).  It is the definition-direct
     reference for :func:`preimage_sums_all`, which verify uses; it
     rescans the whole basis per target, so it suits small n and single
-    patterns.
+    patterns.  p and hist must both be of size n (ValueError).
     """
+    if p.n != n:
+        raise ValueError(f"the pattern is for n={p.n}, not n={n}")
+    _check_census(n, hist)
     total = 0
     for q in _pat.enumerate_patterns(n):
         cq = hist.count(_pat.rank(q))
@@ -437,8 +446,10 @@ def preimage_sums_all(n: int, hist: _fpl.PatternHistogram) -> list[int]:
     """preimage_sum for every pattern at once, by source-major sweep.
 
     Same double sum as preimage_sum, grouped by image instead of
-    rescanning the basis per target: H times the census vector.
+    rescanning the basis per target: H times the census vector.  hist
+    must be a census of n (ValueError).
     """
+    _check_census(n, hist)
     return SparseIntMatrix(n, _pat.hop_table(n)).matvec(hist.as_vector())
 
 

@@ -181,8 +181,7 @@ def _census_for(n: int, target: LinkPattern,
         raise ValueError("target pattern size does not match n")
     if hist is None:
         return _fpl.histogram(n)
-    if hist.n != n:
-        raise ValueError(f"the census is for n={hist.n}, not n={n}")
+    _spec._check_census(n, hist)
     return hist
 
 

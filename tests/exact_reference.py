@@ -6,8 +6,10 @@ small-dimension tools, and the tests compare the certified eigenvector
 with them for n up to 5.
 
 The per-key census sweep advances every (v, frontier) key through every
-row move on its own, with no shape groups; the tests compare the
-grouped sweep with it for n up to 8.
+row move on its own, with no shape groups, by walking the row's cells
+one at a time; the tests compare the grouped sweep, which chases paths
+through row ends instead, with it for n up to 8, and compare each
+chase with the cell walk and its stub marking.
 
 The per-column row shapes walk one row column by column; the tests
 compare the bit-parallel fpl._row_shapes with them for every (v, v2,
@@ -80,8 +82,98 @@ def row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | No
     return tuple(shapes)
 
 
+def apply_row(F: list, shapes: tuple[int, ...], pend, right_stub: int | None,
+               new_arcs: list) -> None:
+    """Advance the frontier linkage through one row of shape masks.
+
+    F is mutated in place; completed (stub, stub) arcs are appended to
+    new_arcs.  pend is the far token of the path end moving rightward
+    along the row (the left stub's token, or None).  A slot whose path
+    end is currently pend may hold a stale token; it is never read in
+    that window (the join that could read it is exactly the closed-loop
+    case, detected through pend itself).  A path end leaving the row
+    must land on a numbered right stub and a numbered right stub must
+    catch one; otherwise ConjectureViolation is raised.
+    """
+    PEND = len(F)  # placeholder far-token for a partner still in flight
+    for j, mask in enumerate(shapes):
+        if mask == 10 or mask == 5:  # L|R pass-through, U|B straight down
+            continue
+        if mask == 3:  # U|L: join the up end with the incoming end
+            t = F[j]
+            F[j] = None
+            if pend == j:  # both ends of one segment: a closed loop
+                pend = None
+                continue
+            u, pend = pend, None
+            if t >= 0:
+                F[t] = u
+                if u >= 0:
+                    F[u] = t
+            elif u >= 0:
+                F[u] = t
+            else:
+                new_arcs.append((-t, -u) if -t < -u else (-u, -t))
+        elif mask == 9:  # U|R: the up end turns rightward
+            pend = F[j]
+            F[j] = None
+        elif mask == 6:  # L|B: the incoming end lands in the frontier
+            t = pend
+            pend = None
+            F[j] = t
+            if t >= 0:
+                F[t] = j
+        else:  # mask == 12, B|R: a fresh segment is born
+            F[j] = PEND
+            pend = j
+    if pend is not None:
+        if right_stub is None:
+            raise ConjectureViolation(
+                "a path end leaves the row at an unnumbered right stub",
+                {"shapes": shapes}, check="census-sweep",
+            )
+        if pend >= 0:
+            F[pend] = -right_stub
+        else:
+            new_arcs.append(
+                (-pend, right_stub) if -pend < right_stub else (right_stub, -pend)
+            )
+    elif right_stub is not None:
+        raise ConjectureViolation(
+            f"numbered right stub {right_stub} catches no path end",
+            {"shapes": shapes}, check="census-sweep",
+        )
+
+
+def marked_advance(n: int, r: int, Fs: tuple, shapes) -> tuple[tuple, tuple]:
+    """(stub effect, next marked frontier) of one group through one row.
+
+    The group's marked frontier Fs gets the placeholder label
+    2n + 1 + j at its stub in column j, apply_row walks the row's
+    shapes, and one pass over the result maps every stub label to its
+    index into X (the member's stubs, then the row's own) and marks it
+    -1.  The effect is (those indices in column order, the new arcs as
+    index pairs in the order the walk closed them).
+    """
+    top = 2 * n
+    left, right = fpl._row_tokens(n, r)
+    tail = [s for s in (None if left is None else -left, right) if s is not None]
+    cols = [j for j, t in enumerate(Fs) if t == -1]
+    at = {-top - 1 - j: i for i, j in enumerate(cols)}
+    at.update({-s: len(cols) + i for i, s in enumerate(tail)})
+    F = [-top - 1 - j if t == -1 else t for j, t in enumerate(Fs)]
+    new: list[tuple[int, int]] = []
+    apply_row(F, tuple(shapes), left, right, new)
+    idx = []
+    for j, t in enumerate(F):
+        if t is not None and t < 0:
+            idx.append(at[t])
+            F[j] = -1
+    return (tuple(idx), tuple([(at[-a], at[-b]) for a, b in new])), tuple(F)
+
+
 def census_per_key(n: int) -> dict[int, int]:
-    """rank -> count by one fpl._apply_row call per (v, frontier, move)."""
+    """rank -> count by one apply_row call per (v, frontier, move)."""
     moves = fpl._row_moves(n)
     full = (1 << n) - 1
     level: dict = {(0, fpl._initial_frontier(n)): {0: 1}}
@@ -95,7 +187,7 @@ def census_per_key(n: int) -> dict[int, int]:
                     continue
                 F = list(Ft)
                 new: list[tuple[int, int]] = []
-                fpl._apply_row(F, shapes, left, right, new)
+                apply_row(F, shapes, left, right, new)
                 if last:
                     new += fpl._bottom_arcs(n, F)
                     F = []

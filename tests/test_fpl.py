@@ -23,8 +23,9 @@ from pathlib import Path
 
 import pytest
 
-from exact_reference import (bottom_stub, census_per_key, left_stub, right_stub,
-                             row_shapes, top_stub)
+import exact_reference
+from exact_reference import (bottom_stub, census_per_key, left_stub,
+                             marked_advance, right_stub, row_shapes, top_stub)
 from loopmodel import fpl, patterns, render, spectra
 from loopmodel.errors import CapacityError, ConjectureViolation
 
@@ -294,16 +295,21 @@ def test_census_matches_per_key_sweep(n):
 
 
 def test_census_advances_each_shape_once(monkeypatch):
-    # one advance per (row, frontier shape, move) instead of one per
-    # (row, frontier, move): 3,090 against 10,156 at n = 7
+    # one chase per (row, frontier shape, move) instead of one cell walk
+    # per (row, frontier, move): 3,090 against 10,156 at n = 7
     calls = []
-    real = fpl._apply_row
+    real_chase, real_walk = fpl._chase, exact_reference.apply_row
 
-    def counted(*args):
+    def chase(*args):
         calls.append(1)
-        real(*args)
+        return real_chase(*args)
 
-    monkeypatch.setattr(fpl, "_apply_row", counted)
+    def walk(*args):
+        calls.append(1)
+        real_walk(*args)
+
+    monkeypatch.setattr(fpl, "_chase", chase)
+    monkeypatch.setattr(exact_reference, "apply_row", walk)
     fpl._census(7)
     shape_advances = len(calls)
     calls.clear()
@@ -334,21 +340,60 @@ def test_census_rekeys_members_once_per_stub_effect(monkeypatch):
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_census_reads_each_row_mask_once(monkeypatch, n):
-    # a level is keyed by v first, so the moves out of each reached (row,
-    # v) are read once for all of its shape groups; v has r - 1 down
-    # arrows at row r, so 2**n - 1 masks are reached: 31 and 127 reads
-    # against one per group (56 and 418)
+    # a level is keyed by v first, so the row paths out of each reached
+    # (row, v) are built once for all of its shape groups; v has r - 1
+    # down arrows at row r, so 2**n - 1 masks are reached: 31 and 127
+    # builds against one per group (56 and 418)
     expected = census_per_key(n)
     reads = []
-    real = fpl._moves_from
+    real = fpl._row_paths
 
-    def counted(moves, n_, v, parity):
+    def counted(n_, v, v2s, parity, left, right):
         reads.append((v, parity))
-        return real(moves, n_, v, parity)
+        return real(n_, v, v2s, parity, left, right)
 
-    monkeypatch.setattr(fpl, "_moves_from", counted)
+    monkeypatch.setattr(fpl, "_row_paths", counted)
     assert fpl._census(n) == expected
     assert len(reads) == len(set(reads)) == 2 ** n - 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chase_matches_the_cell_walk_move_by_move(monkeypatch, n):
+    # every shape group the census reaches, through every move out of
+    # its v: the chase over the row's paths must give the stub effect and
+    # the next marked frontier that the cell walk and its stub marking
+    # give; the chase pairs the new arcs in its own order
+    moves = fpl._row_moves(n)
+    real = fpl._sweep_row
+    compared = []
+
+    def checked(n_, r, level, *args):
+        left, right = fpl._row_tokens(n, r)
+        tails = (left is not None) + (right is not None)
+        for v, groups in level.items():
+            paths = fpl._row_paths(n, v, moves[v][0], r & 1, left, right)
+            rows = list(fpl._moves_from(moves, n, v, r & 1))
+            assert [v2 for v2, _, _ in paths] == [v2 for v2, _ in rows]
+            for Fs in groups:
+                cols = [j for j, t in enumerate(Fs) if t == -1]
+                starts = cols + list(range(2 * n, 2 * n + tails))
+                size = len(starts)
+                far = [~cols.index(j) if t == -1 else t for j, t in enumerate(Fs)]
+                far += [~(size + k) for k in range(n)]
+                far += [~x for x in range(len(cols), size)]
+                for (_, ends, bots), (_, shapes) in zip(paths, rows):
+                    (idx, links), F = fpl._chase(n, far, starts, ends, bots)
+                    (ref_idx, ref_links), ref_F = marked_advance(n, r, Fs, shapes)
+                    assert (idx, F) == (ref_idx, ref_F), (r, v, Fs, shapes)
+                    assert ({frozenset(p) for p in links}
+                            == {frozenset(p) for p in ref_links}), (r, v, Fs, shapes)
+                    assert len(links) == len(ref_links)
+                    compared.append(r)
+        return real(n_, r, level, *args)
+
+    monkeypatch.setattr(fpl, "_sweep_row", checked)
+    assert fpl._census(n) == census_per_key(n)
+    assert sorted(set(compared)) == list(range(1, n + 1))
 
 
 def test_census_refuses_a_stub_code_table_with_two_stubs_swapped(monkeypatch):
@@ -489,23 +534,23 @@ def _stub_numbers_named(exc):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_sweep_fault_names_real_stubs(monkeypatch, n):
-    # the shape path labels stubs above 2n while it advances a group; a
-    # fault it reports must still name the members' own stubs
-    real = fpl._apply_row
+    # the chase names stubs by their index into a member's stubs while it
+    # advances a group; a fault it reports must still name the members'
+    # own stubs
+    real = fpl._chase
 
-    def drop_last_arc(F, shapes, pend, right_stub, new_arcs):
-        real(F, shapes, pend, right_stub, new_arcs)
-        if new_arcs:
-            new_arcs.pop()
+    def drop_last_arc(*args):
+        (idx, links), F = real(*args)
+        return (idx, links[:-1]), F
 
-    monkeypatch.setattr(fpl, "_apply_row", drop_last_arc)
+    monkeypatch.setattr(fpl, "_chase", drop_last_arc)
     with pytest.raises(ConjectureViolation) as info:
         fpl._census(n)
     assert info.value.check == "census-sweep"
     assert "cover every stub" in str(info.value)
     assert all(k <= 2 * n for k in _stub_numbers_named(info.value))
 
-    monkeypatch.setattr(fpl, "_apply_row", real)
+    monkeypatch.setattr(fpl, "_chase", real)
     real_tokens = fpl._row_tokens
     monkeypatch.setattr(fpl, "_row_tokens", lambda n, r: (
         real_tokens(n, r)[0], real_tokens(n, r)[1] or 2 * n))

@@ -462,6 +462,18 @@ def test_preimage_identity_direct(n):
     assert spectra.preimage_sum(n, probe, hist) == sums[0]
 
 
+def test_preimage_sums_refuse_a_census_or_pattern_of_another_n():
+    # a census of n = 5 for n = 4 gave preimage_sum 294 and
+    # preimage_sums_all only matvec's vector-length error
+    probe, hist = patterns.unrank(4, 0), fpl.histogram(5)
+    with pytest.raises(ValueError, match="census is for n=5, not n=4"):
+        spectra.preimage_sum(4, probe, hist)
+    with pytest.raises(ValueError, match="census is for n=5, not n=4"):
+        spectra.preimage_sums_all(4, hist)
+    with pytest.raises(ValueError, match="pattern is for n=4, not n=5"):
+        spectra.preimage_sum(5, probe, hist)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_operator_symmetry(n):
     H = spectra.build_hamiltonian(n)
@@ -607,15 +619,17 @@ def test_renested_bottom_arcs_fail_census_equals_eigenvector(monkeypatch, n):
 def test_misjoined_row_fails_a_named_check(monkeypatch, n):
     # after a row, two path ends in the frontier trade the stubs they
     # are joined to: every total stays, the matchings change
-    real = fpl._apply_row
+    real = fpl._chase
     hits = []
 
-    def misjoin(F, shapes, pend, right_stub, new_arcs):
-        real(F, shapes, pend, right_stub, new_arcs)
-        if _swap_first_two(F, lambda t: t < 0):
+    def misjoin(*args):
+        (idx, links), F = real(*args)
+        idx = list(idx)
+        if _swap_first_two(idx, lambda t: True):
             hits.append(1)
+        return (tuple(idx), links), F
 
-    monkeypatch.setattr(fpl, "_apply_row", misjoin)
+    monkeypatch.setattr(fpl, "_chase", misjoin)
     _linkage_failures(n)
     assert hits
 
