@@ -41,10 +41,10 @@ horizontal arrows of a row as a prefix xor of its flips and each of the
 four shape bits as one n-bit word, spread to one byte per column, and
 `_row_moves` checks the convention on that packed odd row with a few
 integer comparisons.  The even row is the odd one with all four bits
-flipped, so a check at even parity would restate the odd one, and the
-table stores per v the sorted v2 values as one array('H') and one bytes
-of their odd rows, n + 2 bytes a move; `_moves_from` flips an even row
-as it reads it.
+flipped, so a check at even parity would restate the odd one.  The
+table keeps per v only the sorted v2 values, as one array('H'); the
+census reads no shape mask, and the state streams ask `_row_shapes`
+for the rows they emit.
 
 The census keeps, along the sweep, a frontier linkage: for every live
 vertical edge crossing the sweep line, the far end of its open path
@@ -103,7 +103,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import itemgetter
+from operator import index, itemgetter
 
 from . import patterns as _pat
 from ._record import FORMAT_VERSION, Frozen, set_field
@@ -217,8 +217,8 @@ def _row_shapes(n: int, v: int, v2: int, row_parity: int) -> tuple[int, ...] | N
     return tuple(packed.to_bytes(n, "little"))
 
 
-def _row_moves(n: int) -> list[tuple[array, bytes]]:
-    """moves[v] = (sorted v2 values as array('H'), their odd rows as bytes).
+def _row_moves(n: int) -> list[array]:
+    """moves[v] = the sorted v2 values of the moves out of v, as array('H').
 
     The valid v2 are generated from the alternating-flip rule: the
     horizontal arrow enters at 1, a column may flip only when its bit
@@ -233,11 +233,11 @@ def _row_moves(n: int) -> list[tuple[array, bytes]]:
     row 1, which stands for every odd row.  A row that breaks either
     raises ConjectureViolation, also under python -O.  Flipping the
     checkerboard parity negates all four bit conditions, so an even row
-    is its odd one with each byte xor 0x0F, which _moves_from applies
-    on reading, and its check would restate the odd one.  Move i of v
-    is bytes n*i .. n*i + n - 1 and v2 i of its array (n <= MAX_ROW_BITS
-    fits 16 bits): 17 B a move at n = 9 and 13, 13.4 MB at n = 13.  The
-    census frees the uncached table with its sweep.
+    is its odd one with each mask xor 0x0F and its check would restate
+    the odd one.  The rows themselves are not kept: whoever needs one
+    asks _row_shapes again.  n <= MAX_ROW_BITS fits a v2 in 16 bits:
+    6.6 B a move at n = 9, 2.3 MB at n = 13.  The census frees the
+    uncached table with its sweep.
     """
     # here, not at module level: loaded before the other modules' tables,
     # it raised the peak RSS of `sample` by 0.2 MB
@@ -251,14 +251,13 @@ def _row_moves(n: int) -> list[tuple[array, bytes]]:
     up, down = spread[P ^ full], spread[P]
     at = _stub_at(n)
     left, right = ("L", 1) in at, ("R", 1) in at
-    moves: list[tuple[array, bytes]] = []
+    moves: list[array] = []
     for v in range(1 << n):
         partial = [(v, 1)]  # (v2 so far, arrow entering the next column)
         for j in range(n):
             a = (v >> j) & 1
             partial += [(w ^ (1 << j), a) for w, l in partial if l != a]
         v2s = array("H", sorted(w for w, l in partial if l == 0))
-        rows = bytearray()
         sv = spread[v]
         for v2 in v2s:
             odd = _row_shapes(n, v, v2, 1)
@@ -275,27 +274,16 @@ def _row_moves(n: int) -> list[tuple[array, bytes]]:
                     {"n": n, "v": v, "v2": v2, "parity": 1},
                     check="census-sweep",
                 )
-            rows.extend(odd)
-        moves.append((v2s, bytes(rows)))
+        moves.append(v2s)
     return moves
-
-
-_EVEN = bytes(b ^ 15 for b in range(256))  # a shape mask at the other parity
-
-
-def _moves_from(moves: list, n: int, v: int, parity: int) -> zip:
-    """(v2, shape masks as n bytes) of every move out of v, in order."""
-    v2s, rows = moves[v]
-    if not parity:
-        rows = rows.translate(_EVEN)
-    return zip(v2s, [rows[i:i + n] for i in range(0, len(rows), n)])
 
 
 def _initial_frontier(n: int) -> tuple:
     """Far-end tokens above row 1: numbered top stubs at odd columns.
 
-    Token convention used throughout the sweep: None = no live edge,
-    j >= 0 = live edge at column j (0-based), -k = numbered stub k.
+    Token convention, which _census marks and _close rebuilds for its
+    _bottom_arcs call: None = no live edge, j >= 0 = live edge at
+    column j (0-based), -k = numbered stub k.
     """
     at = _stub_at(n)
     return tuple(None if (s := at.get(("T", j + 1))) is None else -s
@@ -404,11 +392,10 @@ def _bottom_arcs(n: int, F) -> list[tuple[int, int]]:
     return arcs
 
 
-def _row_tokens(n: int, r: int) -> tuple[int | None, int | None]:
-    """(left stub token, right stub number) for 1-based row r."""
+def _side_stubs(n: int, r: int) -> tuple[int | None, int | None]:
+    """(left, right) stub numbers of 1-based row r, None if unnumbered."""
     at = _stub_at(n)
-    left = at.get(("L", r))
-    return (None if left is None else -left), at.get(("R", r))
+    return at.get(("L", r)), at.get(("R", r))
 
 
 # -- states and matrices ------------------------------------------------
@@ -618,15 +605,22 @@ def enumerate_states(n: int, max_n: int | None = None):
     """Yield every state exactly once, in a deterministic order.
 
     The order is depth-first over rows with the vertical-arrow masks
-    ascending, so it is reproducible across runs and platforms.
+    ascending, so it is reproducible across runs and platforms.  The
+    rows out of each (v, parity) come from _row_shapes once and are
+    kept: a move adds one down arrow, so each v is reached at one row
+    only and the cache holds at most the table's moves.
     """
     _pat.check_n(n, max_n)
     moves = _row_moves(n)
     rows: list[tuple[int, ...]] = []
 
+    @lru_cache(maxsize=None)
+    def moves_from(v: int, parity: int) -> list[tuple[int, tuple[int, ...]]]:
+        return [(v2, _row_shapes(n, v, v2, parity)) for v2 in moves[v]]
+
     def descend(v: int, r: int):
-        for v2, shapes in _moves_from(moves, n, v, r & 1):
-            rows.append(tuple(shapes))
+        for v2, shapes in moves_from(v, r & 1):
+            rows.append(shapes)
             if r == n:
                 yield FplState._from_row_table(n, tuple(rows))
             else:
@@ -644,17 +638,20 @@ def state_at(n: int, k: int, max_n: int | None = None) -> FplState:
     moves v -> v2; it is counted for the reached (r, v) only.  Unless
     ways(1, 0) is asm_count(n), ConjectureViolation is raised.  Each row
     then takes, in the order enumerate_states uses, the move whose block
-    of completions holds index k, and k drops by the blocks it skips.
+    of completions holds index k, and k drops by the blocks it skips,
+    and _row_shapes gives the row of the chosen move.  k must be an
+    integer (operator.index); a float raises TypeError.
     """
     _pat.check_n(n, max_n)
     total = asm_count(n)
+    k = index(k)
     if not 0 <= k < total:
         raise ValueError(f"state index {k} out of range for n={n}")
     moves = _row_moves(n)
 
     @lru_cache(maxsize=None)
     def ways(r: int, v: int) -> int:
-        return 1 if r > n else sum([ways(r + 1, v2) for v2 in moves[v][0]])
+        return 1 if r > n else sum([ways(r + 1, v2) for v2 in moves[v]])
 
     if ways(1, 0) != total:
         raise ConjectureViolation(
@@ -666,11 +663,11 @@ def state_at(n: int, k: int, max_n: int | None = None) -> FplState:
     rows: list[tuple[int, ...]] = []
     v = 0
     for r in range(1, n + 1):
-        for v2, shapes in _moves_from(moves, n, v, r & 1):
+        for v2 in moves[v]:
             if k < ways(r + 1, v2):
                 break
             k -= ways(r + 1, v2)
-        rows.append(tuple(shapes))
+        rows.append(_row_shapes(n, v, v2, r & 1))
         v = v2
     return FplState._from_row_table(n, tuple(rows))
 
@@ -785,10 +782,9 @@ def _sweep_row(n: int, r: int, level: dict, keys: list, stubs: list,
     """
     top = 2 * n
     shift = ARC_BITS * top  # a key's stub code sits above its packed arcs
-    left, right = _row_tokens(n, r)
+    left, right = _side_stubs(n, r)
     # the row's own stub numbers; a member is re-keyed on X = its stubs + tail
-    tail = (*(() if left is None else (-left,)),
-            *(() if right is None else (right,)))
+    tail = tuple([s for s in (left, right) if s is not None])
     row_ends = list(range(top, top + len(tail)))  # where the row's stubs enter
     nxt: dict = {}
     codes: dict = {}  # stub tuple of level r + 1 -> its code
@@ -796,7 +792,7 @@ def _sweep_row(n: int, r: int, level: dict, keys: list, stubs: list,
     effects: dict = {}  # stub effect -> (pick, links, memos), per row
     while level:
         v, groups = level.popitem()
-        paths = _row_paths(n, v, moves[v][0], r & 1, left, right)
+        paths = _row_paths(n, v, moves[v], r & 1, left, right)
         while groups:
             Fs, group = groups.popitem()
             cols = [j for j, t in enumerate(Fs) if t == -1]

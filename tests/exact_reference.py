@@ -156,14 +156,14 @@ def marked_advance(n: int, r: int, Fs: tuple, shapes) -> tuple[tuple, tuple]:
     index pairs in the order the walk closed them).
     """
     top = 2 * n
-    left, right = fpl._row_tokens(n, r)
-    tail = [s for s in (None if left is None else -left, right) if s is not None]
+    left, right = fpl._side_stubs(n, r)
+    tail = [s for s in (left, right) if s is not None]
     cols = [j for j, t in enumerate(Fs) if t == -1]
     at = {-top - 1 - j: i for i, j in enumerate(cols)}
     at.update({-s: len(cols) + i for i, s in enumerate(tail)})
     F = [-top - 1 - j if t == -1 else t for j, t in enumerate(Fs)]
     new: list[tuple[int, int]] = []
-    apply_row(F, tuple(shapes), left, right, new)
+    apply_row(F, tuple(shapes), None if left is None else -left, right, new)
     idx = []
     for j, t in enumerate(F):
         if t is not None and t < 0:
@@ -179,15 +179,16 @@ def census_per_key(n: int) -> dict[int, int]:
     level: dict = {(0, fpl._initial_frontier(n)): {0: 1}}
     for r in range(1, n + 1):
         last = r == n
-        left, right = fpl._row_tokens(n, r)
+        left, right = fpl._side_stubs(n, r)
+        pend = None if left is None else -left  # the left stub's token
         nxt: dict = {}
         for (v, Ft), bucket in level.items():
-            for v2, shapes in fpl._moves_from(moves, n, v, r & 1):
+            for v2 in moves[v]:
                 if last and v2 != full:
                     continue
                 F = list(Ft)
                 new: list[tuple[int, int]] = []
-                apply_row(F, shapes, left, right, new)
+                apply_row(F, fpl._row_shapes(n, v, v2, r & 1), pend, right, new)
                 if last:
                     new += fpl._bottom_arcs(n, F)
                     F = []

@@ -593,8 +593,8 @@ def test_render_state_svg(cache, capsys):
 
 
 def test_sweep_violation_exits_with_a_violation_line(cache, monkeypatch, capsys):
-    real = fpl._row_tokens
-    monkeypatch.setattr(fpl, "_row_tokens", lambda n, r: (real(n, r)[0], None))
+    real = fpl._side_stubs
+    monkeypatch.setattr(fpl, "_side_stubs", lambda n, r: (real(n, r)[0], None))
     assert run(["enumerate", "-n", "3", "--no-cache"]) == cli.EXIT_FAIL
     assert capsys.readouterr().err.startswith("violation: ")
 

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from array import array
 from itertools import product
 from pathlib import Path
 
@@ -102,12 +103,10 @@ def brute_force_row_moves(n):
 
 def unpacked_row_moves(n):
     """fpl._row_moves(n) read back as [[(v2, odd row, even row)] per v],
-    the rows as tuples, through the reader the sweeps use."""
-    moves = fpl._row_moves(n)
-    return [[(v2, tuple(odd), tuple(even))
-             for (v2, odd), (_, even) in zip(fpl._moves_from(moves, n, v, 1),
-                                             fpl._moves_from(moves, n, v, 0))]
-            for v in range(1 << n)]
+    each row from fpl._row_shapes, as the state streams read it."""
+    return [[(v2, fpl._row_shapes(n, v, v2, 1), fpl._row_shapes(n, v, v2, 0))
+             for v2 in v2s]
+            for v, v2s in enumerate(fpl._row_moves(n))]
 
 
 def pattern_by_union_find(state):
@@ -190,10 +189,9 @@ def test_histogram_totals_and_coverage(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_row_moves_match_brute_force(n):
-    # each v holds its sorted v2 values as one array('H') and one bytes
-    # of n odd masks per move
-    assert all(v2s.typecode == "H" and list(v2s) == sorted(v2s)
-               and len(odd) == n * len(v2s) for v2s, odd in fpl._row_moves(n))
+    # each v holds its sorted v2 values as one array('H') and nothing else
+    assert all(type(v2s) is array and v2s.typecode == "H"
+               and list(v2s) == sorted(v2s) for v2s in fpl._row_moves(n))
     moves = unpacked_row_moves(n)
     assert moves == brute_force_row_moves(n)
     assert sum(len(row) for row in moves) == (3 ** n - 1) // 2
@@ -203,21 +201,21 @@ def test_row_moves_match_brute_force(n):
 
 @pytest.mark.parametrize("n", [8, 9, 10])
 def test_even_rows_beyond_the_brute_force_range(n):
-    # _row_moves stores the odd rows only and checks the convention at
-    # odd parity only; past the reach of the brute force the even rows
-    # read back must still be the per-column complements of the odd
-    # ones and what _row_shapes gives at even parity
-    for v, row in enumerate(unpacked_row_moves(n)):
-        for v2, odd, even in row:
-            assert even == tuple(m ^ 15 for m in odd), (v, v2)
-            assert even == fpl._row_shapes(n, v, v2, 0), (v, v2)
+    # _row_moves checks the numbered-stub convention at odd parity only,
+    # which is enough because every even row is the per-column
+    # complement of its odd one; past the reach of the brute force this
+    # must still hold for every move of the table
+    for v, v2s in enumerate(fpl._row_moves(n)):
+        for v2 in v2s:
+            odd = fpl._row_shapes(n, v, v2, 1)
+            assert fpl._row_shapes(n, v, v2, 0) == tuple(m ^ 15 for m in odd), (v, v2)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_every_move_adds_one_down_arrow(n):
     # so after row n every sweep state is the all-down mask, and the
     # census needs no filter on the moves out of row n
-    for v, (v2s, _) in enumerate(fpl._row_moves(n)):
+    for v, v2s in enumerate(fpl._row_moves(n)):
         for v2 in v2s:
             assert v2.bit_count() == v.bit_count() + 1, (v, v2)
 
@@ -368,11 +366,11 @@ def test_chase_matches_the_cell_walk_move_by_move(monkeypatch, n):
     compared = []
 
     def checked(n_, r, level, *args):
-        left, right = fpl._row_tokens(n, r)
+        left, right = fpl._side_stubs(n, r)
         tails = (left is not None) + (right is not None)
         for v, groups in level.items():
-            paths = fpl._row_paths(n, v, moves[v][0], r & 1, left, right)
-            rows = list(fpl._moves_from(moves, n, v, r & 1))
+            paths = fpl._row_paths(n, v, moves[v], r & 1, left, right)
+            rows = [(v2, fpl._row_shapes(n, v, v2, r & 1)) for v2 in moves[v]]
             assert [v2 for v2, _, _ in paths] == [v2 for v2, _ in rows]
             for Fs in groups:
                 cols = [j for j, t in enumerate(Fs) if t == -1]
@@ -477,7 +475,7 @@ def test_sweep_row_conserves_states(monkeypatch, n):
         level, keys, stubs = real(n_, r, *args)
         above, reach = reach, {}
         for v, ways in above.items():
-            for v2 in moves[v][0]:
+            for v2 in moves[v]:
                 reach[v2] = reach.get(v2, 0) + ways
         held = {v2: sum(sum(group.values()) for group in groups.values())
                 for v2, groups in level.items()}
@@ -493,10 +491,11 @@ def test_sweep_row_conserves_states(monkeypatch, n):
 
 def test_census_peak_memory_is_bounded():
     # a level is one flat dict per shape group, keyed by key ids the
-    # level numbers once, and the row table one bytes per v: the traced
-    # peak of _census(8) was 2.06 MB with a dict per member and a tuple
-    # pair per move, 0.81 MB with a big-int key per group entry, and is
-    # 0.72 MB
+    # level numbers once, and the row table one array('H') per v: the
+    # traced peak of _census(8) was 2.06 MB with a dict per member and a
+    # tuple pair per move, 0.81 MB with a big-int key per group entry,
+    # 0.72 MB with the odd rows stored beside the v2 values, and is
+    # 0.68 MB
     fpl._row_moves(8)  # fills the lru caches of _spread and _stub_at
     patterns._basis(8)
     tracemalloc.start()
@@ -509,9 +508,10 @@ def test_census_peak_memory_is_bounded():
 
 
 def test_row_table_bytes_per_move_is_bounded():
-    # n bytes of odd row plus a v2 per move: at n = 9, 286 B per move as
-    # (v2, odd tuple, even tuple) triples, 38.7 B with the v2 values as a
-    # tuple of ints, 17.3 B with them in one array('H') per v
+    # a v2 per move: at n = 9, 286 B per move as (v2, odd tuple, even
+    # tuple) triples, 38.7 B with the v2 values as a tuple of ints, 17.3 B
+    # with them in one array('H') per v beside a bytes of odd rows, and
+    # 6.6 B with the array alone
     fpl._row_moves(9)
     tracemalloc.start()
     try:
@@ -519,7 +519,7 @@ def test_row_table_bytes_per_move_is_bounded():
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert size / sum(len(v2s) for v2s, _ in moves) < 24
+    assert size / sum(len(v2s) for v2s in moves) < 8
 
 
 def _stub_numbers_named(exc):
@@ -551,8 +551,8 @@ def test_sweep_fault_names_real_stubs(monkeypatch, n):
     assert all(k <= 2 * n for k in _stub_numbers_named(info.value))
 
     monkeypatch.setattr(fpl, "_chase", real)
-    real_tokens = fpl._row_tokens
-    monkeypatch.setattr(fpl, "_row_tokens", lambda n, r: (
+    real_tokens = fpl._side_stubs
+    monkeypatch.setattr(fpl, "_side_stubs", lambda n, r: (
         real_tokens(n, r)[0], real_tokens(n, r)[1] or 2 * n))
     with pytest.raises(ConjectureViolation,
                        match=f"numbered right stub {2 * n} catches no path end"):
@@ -648,6 +648,30 @@ def test_state_at_matches_enumeration(monkeypatch):
             fpl.state_at(4, k)
 
 
+def test_state_at_refuses_a_non_integer_index():
+    # a float index must not be floored into some state's block
+    with pytest.raises(TypeError):
+        fpl.state_at(3, 2.5)
+    assert fpl.state_at(3, True) == fpl.state_at(3, 1)
+
+
+def test_enumerate_states_asks_for_each_row_once(monkeypatch):
+    # the stream keeps the rows out of each (v, parity) it reaches; each v
+    # is reached at one row only, so beside the table's own check of every
+    # move it asks _row_shapes at most once more per move: 2 * 364 at n = 6
+    calls = []
+    real = fpl._row_shapes
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fpl, "_row_shapes", counted)
+    states = list(fpl.enumerate_states(6))
+    assert len(states) == fpl.asm_count(6)
+    assert len(calls) <= 2 * (3 ** 6 - 1) // 2
+
+
 def test_streamed_states_pass_the_public_checks():
     # enumerate_states and state_at build their states from the row table
     # without the constructor's checks; each must equal the state that
@@ -664,8 +688,7 @@ def test_state_at_refuses_a_row_table_that_miscounts(monkeypatch):
 
     def one_move_dropped(n):
         moves = real(n)
-        v2s, odd = moves[0]
-        moves[0] = (v2s[:-1], odd[:-n])
+        moves[0] = moves[0][:-1]
         return moves
 
     monkeypatch.setattr(fpl, "_row_moves", one_move_dropped)
@@ -716,10 +739,10 @@ def test_sweep_invariants_survive_optimized_mode():
             else:
                 raise SystemExit(what + " went unnoticed")
 
-        real_tokens = fpl._row_tokens
-        fpl._row_tokens = lambda n, r: (real_tokens(n, r)[0], None)
+        real_tokens = fpl._side_stubs
+        fpl._side_stubs = lambda n, r: (real_tokens(n, r)[0], None)
         expect_violation("a dropped right stub")
-        fpl._row_tokens = real_tokens
+        fpl._side_stubs = real_tokens
 
         real_shapes = fpl._row_shapes
         fpl._row_shapes = lambda n, v, v2, parity: real_shapes(n, v, v2, 1 - parity)

@@ -551,8 +551,8 @@ def test_verify_conjecture_reports_failure_structurally():
 
 def test_broken_sweep_invariant_is_census_sweep(monkeypatch):
     # a right stub that catches no path end is a sweep fault, not a total
-    real = fpl._row_tokens
-    monkeypatch.setattr(fpl, "_row_tokens", lambda n, r: (real(n, r)[0], None))
+    real = fpl._side_stubs
+    monkeypatch.setattr(fpl, "_side_stubs", lambda n, r: (real(n, r)[0], None))
     rep = spectra.verify_conjecture(3)
     assert [(c.name, c.passed) for c in rep.checks] == [("census-sweep", False)]
     assert "unnumbered right stub" in rep.checks[0].details
